@@ -1860,6 +1860,13 @@ impl WhiteBoxReplica {
         self.last_leader_activity = now;
         self.status = Status::Follower;
         let mut actions = self.start_recovery();
+        // Until our own NEW_LEADER vote lands, act as `Recovering`: a
+        // DELIVER of the old ballot that races ahead of the vote (a peer
+        // flushing frames it queued while we were down) must not be
+        // delivered. We missed the DELIVERs before it, and delivering it
+        // would raise `max_delivered_gts` above them, so the recovery could
+        // never re-deliver them.
+        self.status = Status::Recovering;
         // Re-arm a retry timer for every pending record so stuck messages are
         // re-proposed (the pre-crash timers are gone). The pending set comes
         // from the delivery-condition index — restart work is proportional
@@ -2454,6 +2461,30 @@ mod tests {
             .filter(|a| matches!(a, Action::SetTimer { id, .. } if id.0 >= 1_000))
             .count();
         assert_eq!(retry_timers, 5, "one retry timer per pending record");
+    }
+
+    /// A freshly restarted follower that receives a DELIVER of the old
+    /// ballot before its own NEW_LEADER vote (a peer flushing frames queued
+    /// while it was down) must not deliver it: it missed the earlier
+    /// DELIVERs, and raising `max_delivered_gts` past them would stop the
+    /// recovery from ever re-delivering them.
+    #[test]
+    fn restarted_follower_ignores_delivers_until_resynchronised() {
+        let mut follower = replica(1, 0);
+        follower.on_event(Duration::ZERO, Event::Restart);
+        assert_eq!(follower.status(), Status::Recovering);
+        let actions = drive(
+            &mut follower,
+            ProcessId(0),
+            WhiteBoxMsg::Deliver {
+                msg: app_msg(20, &[0]),
+                ballot: Ballot::new(1, ProcessId(0)),
+                local_ts: Timestamp::new(21, GroupId(0)),
+                global_ts: Timestamp::new(21, GroupId(0)),
+            },
+        );
+        assert!(!actions.iter().any(Action::is_delivery));
+        assert_eq!(follower.delivered_count(), 0);
     }
 
     #[test]

@@ -13,179 +13,11 @@
 //! the process exit non-zero. `--replay` re-runs a single token and reports
 //! its result (the digest is byte-for-byte reproducible).
 
-use std::io::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use wbam_harness::explorer::{explore, generate_schedule, run_token, ExplorerConfig, SeedToken};
-
-struct Args {
-    schedules: usize,
-    seed: u64,
-    minimize: bool,
-    out: Option<String>,
-    replay: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        schedules: 200,
-        seed: 42,
-        minimize: true,
-        out: None,
-        replay: None,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--schedules" => {
-                args.schedules = value("--schedules")?
-                    .parse()
-                    .map_err(|e| format!("--schedules: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--no-minimize" => args.minimize = false,
-            "--out" => args.out = Some(value("--out")?),
-            "--replay" => args.replay = Some(value("--replay")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: explorer [--schedules N] [--seed S] [--no-minimize] \
-                            [--out FILE] [--replay TOKEN]"
-                        .to_string(),
-                );
-            }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
-        }
-    }
-    Ok(args)
-}
-
-fn replay(token_str: &str) -> ExitCode {
-    let token = match SeedToken::parse(token_str) {
-        Ok(token) => token,
-        Err(e) => {
-            eprintln!("bad token: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let schedule = generate_schedule(&token);
-    println!("replaying {token}");
-    println!(
-        "  cluster: {} groups x {} replicas, {} clients, {} ops, batching {}, compaction {}",
-        schedule.spec.num_groups,
-        schedule.spec.group_size,
-        schedule.spec.num_clients,
-        schedule.ops.len(),
-        if schedule.spec.batch_delay.is_zero() {
-            "off".to_string()
-        } else {
-            format!("{}", schedule.spec.max_batch)
-        },
-        if schedule.spec.compaction_interval == 0 {
-            "off".to_string()
-        } else {
-            format!(
-                "every {} (lag {})",
-                schedule.spec.compaction_interval, schedule.spec.compaction_lag
-            )
-        },
-    );
-    println!("  nemesis: {:?}", schedule.spec.nemesis);
-    let report = run_token(&token);
-    println!(
-        "  digest {:016x}; {}/{} ops completed, {} deliveries, {} dropped, {} duplicated",
-        report.digest,
-        report.completed,
-        report.ops,
-        report.deliveries,
-        report.nemesis_dropped,
-        report.nemesis_duplicated,
-    );
-    match report.violation {
-        None => {
-            println!("  OK: all invariants and the linearizability oracle hold");
-            ExitCode::SUCCESS
-        }
-        Some(violation) => {
-            println!("  VIOLATION: {violation}");
-            ExitCode::FAILURE
-        }
-    }
-}
+use wbam_harness::driver::cli_main;
+use wbam_harness::SimEngine;
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(token) = &args.replay {
-        return replay(token);
-    }
-
-    let config = ExplorerConfig {
-        schedules: args.schedules,
-        base_seed: args.seed,
-        minimize: args.minimize,
-        ..ExplorerConfig::default()
-    };
-    let started = Instant::now();
-    let report = explore(&config);
-    let elapsed = started.elapsed();
-    println!(
-        "explored {} schedules in {:.1?} (base seed {}): {} ops submitted, {} completed; \
-         {} crashes, {} partitions, {} messages dropped, {} duplicated",
-        report.schedules,
-        elapsed,
-        args.seed,
-        report.total_ops,
-        report.total_completed,
-        report.crashes,
-        report.partitions,
-        report.nemesis_dropped,
-        report.nemesis_duplicated,
-    );
-
-    if report.findings.is_empty() {
-        println!("no violations: Figure 6 invariants and the linearizability oracle held on every schedule");
-        return ExitCode::SUCCESS;
-    }
-
-    for finding in &report.findings {
-        println!();
-        println!("FAILING SCHEDULE: {}", finding.token);
-        println!("  {}", finding.description);
-        if let Some(plan) = &finding.minimized {
-            println!("  minimized nemesis plan: {plan:?}");
-        }
-        println!(
-            "  replay with: cargo run --release -p wbam-harness --bin explorer -- --replay '{}'",
-            finding.token
-        );
-    }
-    if let Some(path) = &args.out {
-        match std::fs::File::create(path) {
-            Ok(mut file) => {
-                for finding in &report.findings {
-                    let _ = writeln!(file, "{}", finding.token);
-                }
-                println!(
-                    "\nwrote {} failing seed(s) to {path}",
-                    report.findings.len()
-                );
-            }
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-    ExitCode::FAILURE
+    cli_main::<SimEngine>()
 }

@@ -24,8 +24,9 @@ use std::time::Instant;
 
 use wbam_types::wire::WireCodec;
 
-use wbam_harness::chaos::net_schedule_token;
-use wbam_harness::{run_net_token, NetChaosConfig, NetChaosReport, NetSeedToken};
+use wbam_harness::{
+    run_net_token, NetChaosConfig, NetChaosReport, Protocol, SeedToken, TokenVersion,
+};
 
 struct Args {
     plans: usize,
@@ -130,8 +131,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let tokens: Vec<NetSeedToken> = if let Some(seed) = &args.seed {
-        match NetSeedToken::parse(seed) {
+    let tokens: Vec<SeedToken> = if let Some(seed) = &args.seed {
+        match SeedToken::parse(seed, &[TokenVersion::N1]) {
             Ok(token) => vec![token],
             Err(e) => {
                 eprintln!("bad token: {e}");
@@ -140,11 +141,11 @@ fn main() -> ExitCode {
         }
     } else {
         (0..args.plans)
-            .map(|i| net_schedule_token(args.base_seed, i))
+            .map(|i| SeedToken::sweep(TokenVersion::N1, args.base_seed, i, &[Protocol::WhiteBox]))
             .collect()
     };
 
-    let mut failures: Vec<(NetSeedToken, WireCodec, String, PathBuf)> = Vec::new();
+    let mut failures: Vec<(SeedToken, WireCodec, String, PathBuf)> = Vec::new();
     for token in &tokens {
         for wire in &args.wires {
             println!("running {token} [{}]", wire.name());

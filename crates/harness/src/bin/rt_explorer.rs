@@ -15,167 +15,11 @@
 //! result (the digest covers every delivery record and the scheduler's
 //! decision trace, so it is byte-for-byte reproducible).
 
-use std::io::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use wbam_harness::rt::{explore_rt, generate_rt_plan, run_rt_token, RtExplorerConfig, RtSeedToken};
-
-struct Args {
-    schedules: usize,
-    seed: u64,
-    minimize: bool,
-    out: Option<String>,
-    replay: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        schedules: 200,
-        seed: 42,
-        minimize: true,
-        out: None,
-        replay: None,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--schedules" => {
-                args.schedules = value("--schedules")?
-                    .parse()
-                    .map_err(|e| format!("--schedules: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--no-minimize" => args.minimize = false,
-            "--out" => args.out = Some(value("--out")?),
-            "--replay" => args.replay = Some(value("--replay")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: rt_explorer [--schedules N] [--seed S] [--no-minimize] \
-                            [--out FILE] [--replay TOKEN]"
-                        .to_string(),
-                );
-            }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
-        }
-    }
-    Ok(args)
-}
-
-fn replay(token_str: &str) -> ExitCode {
-    let token = match RtSeedToken::parse(token_str) {
-        Ok(token) => token,
-        Err(e) => {
-            eprintln!("bad token: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let plan = generate_rt_plan(&token);
-    println!("replaying {token}");
-    println!(
-        "  cluster: {} groups x {} replicas, {} clients, {} ops, {} crash/restart(s)",
-        plan.num_groups,
-        plan.group_size,
-        plan.num_clients,
-        plan.ops.len(),
-        plan.crashes.len(),
-    );
-    for crash in &plan.crashes {
-        println!(
-            "  crash: {} at {:?} for {:?}",
-            crash.node, crash.at, crash.down_for
-        );
-    }
-    let report = run_rt_token(&token);
-    println!(
-        "  digest {:016x}; {}/{} ops completed, {} deliveries",
-        report.digest, report.completed, report.ops, report.deliveries,
-    );
-    match report.violation {
-        None => {
-            println!("  OK: all invariants and the linearizability oracle hold");
-            ExitCode::SUCCESS
-        }
-        Some(violation) => {
-            println!("  VIOLATION: {violation}");
-            ExitCode::FAILURE
-        }
-    }
-}
+use wbam_harness::driver::cli_main;
+use wbam_harness::RtEngine;
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(token) = &args.replay {
-        return replay(token);
-    }
-
-    let config = RtExplorerConfig {
-        schedules: args.schedules,
-        base_seed: args.seed,
-        minimize: args.minimize,
-        ..RtExplorerConfig::default()
-    };
-    let started = Instant::now();
-    let report = explore_rt(&config);
-    let elapsed = started.elapsed();
-    println!(
-        "explored {} deployed-loop interleavings in {:.1?} (base seed {}): \
-         {} ops submitted, {} completed; {} crash/restarts scheduled",
-        report.schedules,
-        elapsed,
-        args.seed,
-        report.total_ops,
-        report.total_completed,
-        report.crashes,
-    );
-
-    if report.findings.is_empty() {
-        println!(
-            "no violations: Figure 6 invariants, the linearizability oracle and \
-             termination held on every interleaving"
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    for finding in &report.findings {
-        println!();
-        println!("FAILING INTERLEAVING: {}", finding.token);
-        println!("  {}", finding.description);
-        if let Some(crashes) = &finding.minimized_crashes {
-            println!("  minimized crash schedule: {crashes:?}");
-        }
-        println!(
-            "  replay with: cargo run --release -p wbam-harness --bin rt_explorer -- --replay '{}'",
-            finding.token
-        );
-    }
-    if let Some(path) = &args.out {
-        match std::fs::File::create(path) {
-            Ok(mut file) => {
-                for finding in &report.findings {
-                    let _ = writeln!(file, "{}", finding.token);
-                }
-                println!(
-                    "\nwrote {} failing seed(s) to {path}",
-                    report.findings.len()
-                );
-            }
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-    ExitCode::FAILURE
+    cli_main::<RtEngine>()
 }

@@ -9,17 +9,16 @@
 //! real `wbamd` OS processes whose every TCP link runs through a
 //! [`NemesisProxy`]. When the dust settles the driver
 //! stops the cluster gracefully (SIGTERM — exercising the daemons' drain
-//! path), parses the drained delivery logs, and checks:
+//! path), parses the drained delivery logs, and judges them with the shared
+//! [`verdict`](crate::verdict):
 //!
 //! * global-timestamp **agreement** per message and the Figure 6 **total
-//!   order** over every observer's delivery log
-//!   (`wbam_core::invariants::check_total_order`),
-//! * the key-value store **linearizability oracle**
-//!   ([`KvHistory::check_excusing`]) over replayed per-replica applies and
-//!   the client's invocations/completions, with the PR 3/4 excusals: crash
-//!   victims are `faulty`, drop-bearing plans are `lossy`, and a restarted
-//!   incarnation gets a state-transfer watermark excusal at its first logged
-//!   timestamp, and
+//!   order** over every observer's delivery log,
+//! * the key-value store **linearizability oracle** over replayed
+//!   per-replica applies and the client's invocations/completions, with the
+//!   simulator's excusals: crash victims are `faulty`, drop-bearing plans
+//!   are `lossy`, and a restarted incarnation gets a state-transfer
+//!   watermark excusal at its first logged timestamp, and
 //! * **termination** — the white-box protocol's retry machinery must
 //!   complete every submitted operation despite the chaos.
 //!
@@ -45,26 +44,28 @@
 //! expresses.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
-use wbam_core::invariants::check_total_order;
 use wbam_core::WhiteBoxMsg;
-use wbam_kvstore::{KvCommand, KvHistory, KvStore, Partitioner};
+use wbam_kvstore::{KvCommand, Partitioner};
 use wbam_runtime::{BoxedNode, TcpNode};
+use wbam_simnet::DeliveryRecord;
+use wbam_types::hash::Fnv64;
 use wbam_types::wire::{from_json, WireCodec};
 use wbam_types::{
-    AppMessage, CrashSpec, GroupId, LinkFaults, MsgId, NemesisPlan, PartitionSpec, Payload,
-    ProcessId, Timestamp, WbamError,
+    AppMessage, ClusterConfig, CrashSpec, GroupId, LinkFaults, MsgId, NemesisPlan, PartitionSpec,
+    Payload, ProcessId, Timestamp, WbamError,
 };
 
 use crate::cluster::Protocol;
 use crate::deploy::{ChildGuard, DeliveryLine, DeploySpec};
-use crate::explorer::splitmix64;
 use crate::proxy::{NemesisProxy, ProxyStats};
+use crate::token::SeedToken;
+use crate::verdict::{RunLog, SubmittedOp};
+use crate::workload::draw_kv_command;
 
 /// Groups in the chaos topology.
 const NUM_GROUPS: usize = 2;
@@ -72,8 +73,6 @@ const NUM_GROUPS: usize = 2;
 const GROUP_SIZE: usize = 3;
 /// Replica process count; the driver's in-process client is the next id.
 const REPLICAS: u32 = (NUM_GROUPS * GROUP_SIZE) as u32;
-/// Keys the workload touches (small space maximises conflicts).
-const KEY_SPACE: u32 = 6;
 /// End of the probabilistic-fault window; scheduled faults all land inside.
 const CHAOS_END: Duration = Duration::from_secs(4);
 /// Gap between successive workload submissions.
@@ -93,70 +92,6 @@ const NET_PLAN_SALT: u64 = 0x0DD5_EED5_0FCA_A051;
 
 fn ms(v: u64) -> Duration {
     Duration::from_millis(v)
-}
-
-/// A replayable deployed-chaos identifier, printed as
-/// `WBAM_NET_SEED=n1:<protocol>:<seed-hex>`. The `n` version namespace is
-/// deliberately distinct from the simulator's `v` tokens: the derivations
-/// share nothing, so neither corpus can be replayed under the wrong engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetSeedToken {
-    /// The protocol under test (currently always the white-box protocol —
-    /// the baselines assume reliable channels and simply stall under loss).
-    pub protocol: Protocol,
-    /// The seed every part of the plan and workload derives from.
-    pub seed: u64,
-}
-
-impl fmt::Display for NetSeedToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "WBAM_NET_SEED=n1:{}:{:016x}",
-            self.protocol.label(),
-            self.seed
-        )
-    }
-}
-
-impl NetSeedToken {
-    /// Parses a token previously printed by [`fmt::Display`] (the
-    /// `WBAM_NET_SEED=` prefix is optional on input).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem for malformed tokens.
-    pub fn parse(s: &str) -> Result<NetSeedToken, String> {
-        let body = s.trim().strip_prefix("WBAM_NET_SEED=").unwrap_or(s.trim());
-        let parts: Vec<&str> = body.split(':').collect();
-        let [version, label, seed_hex] = parts[..] else {
-            return Err(format!("expected n1:<protocol>:<seed>, got `{body}`"));
-        };
-        if version != "n1" {
-            return Err(format!("net token version `{version}` not supported (n1)"));
-        }
-        let protocol = match label {
-            "WbCast" => Protocol::WhiteBox,
-            other => {
-                return Err(format!(
-                    "protocol `{other}` is not net-chaos capable (WbCast only: the \
-                     baselines assume reliable channels)"
-                ))
-            }
-        };
-        let seed =
-            u64::from_str_radix(seed_hex, 16).map_err(|e| format!("bad seed `{seed_hex}`: {e}"))?;
-        Ok(NetSeedToken { protocol, seed })
-    }
-}
-
-/// The token of plan `index` in a sweep starting at `base_seed` — the same
-/// golden-ratio splitmix derivation the simulator explorer uses.
-pub fn net_schedule_token(base_seed: u64, index: usize) -> NetSeedToken {
-    NetSeedToken {
-        protocol: Protocol::WhiteBox,
-        seed: splitmix64(base_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    }
 }
 
 /// A scheduled SIGSTOP/SIGCONT pause of one replica process — the deployed
@@ -191,44 +126,38 @@ impl NetChaosPlan {
     /// token derived byte-for-byte identical plans (the replayability
     /// contract — see the module docs for what live runs add on top).
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut write = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fnv64::new();
         let link = self.nemesis.link;
-        write(&u64::from(link.drop_per_mille).to_le_bytes());
-        write(&u64::from(link.duplicate_per_mille).to_le_bytes());
-        write(&u64::from(link.reorder_per_mille).to_le_bytes());
-        write(&(link.reorder_extra.as_nanos() as u64).to_le_bytes());
+        h.write(&u64::from(link.drop_per_mille).to_le_bytes());
+        h.write(&u64::from(link.duplicate_per_mille).to_le_bytes());
+        h.write(&u64::from(link.reorder_per_mille).to_le_bytes());
+        h.write(&(link.reorder_extra.as_nanos() as u64).to_le_bytes());
         for p in &self.nemesis.partitions {
-            write(&(p.start.as_nanos() as u64).to_le_bytes());
-            write(&(p.heal.as_nanos() as u64).to_le_bytes());
-            write(&[u8::from(p.symmetric)]);
+            h.write(&(p.start.as_nanos() as u64).to_le_bytes());
+            h.write(&(p.heal.as_nanos() as u64).to_le_bytes());
+            h.write(&[u8::from(p.symmetric)]);
             for side in [&p.side_a, &p.side_b] {
                 for proc in side {
-                    write(&proc.0.to_le_bytes());
+                    h.write(&proc.0.to_le_bytes());
                 }
             }
         }
         for c in &self.nemesis.crashes {
-            write(&(c.at.as_nanos() as u64).to_le_bytes());
-            write(&c.process.0.to_le_bytes());
+            h.write(&(c.at.as_nanos() as u64).to_le_bytes());
+            h.write(&c.process.0.to_le_bytes());
             let r = c.restart_at.map(|r| r.as_nanos() as u64 + 1).unwrap_or(0);
-            write(&r.to_le_bytes());
+            h.write(&r.to_le_bytes());
         }
         for p in &self.pauses {
-            write(&(p.at.as_nanos() as u64).to_le_bytes());
-            write(&p.process.0.to_le_bytes());
-            write(&(p.resume.as_nanos() as u64).to_le_bytes());
+            h.write(&(p.at.as_nanos() as u64).to_le_bytes());
+            h.write(&p.process.0.to_le_bytes());
+            h.write(&(p.resume.as_nanos() as u64).to_le_bytes());
         }
         for op in &self.ops {
             let enc = serde_json::to_vec(op).expect("commands encode");
-            write(&enc);
+            h.write(&enc);
         }
-        h
+        h.finish()
     }
 }
 
@@ -237,7 +166,7 @@ impl NetChaosPlan {
 /// the acceptance trifecta — link drops, one partition with heal, one
 /// SIGKILL with `--restart` redeploy — plus optional duplicates, delays and
 /// a SIGSTOP pause.
-pub fn generate_net_plan(token: &NetSeedToken, messages: Option<usize>) -> NetChaosPlan {
+pub fn generate_net_plan(token: &SeedToken, messages: Option<usize>) -> NetChaosPlan {
     let mut rng = StdRng::seed_from_u64(token.seed ^ NET_PLAN_SALT);
     let mut nemesis = NemesisPlan {
         chaos_end: Some(CHAOS_END),
@@ -305,24 +234,7 @@ pub fn generate_net_plan(token: &NetSeedToken, messages: Option<usize>) -> NetCh
         messages.unwrap_or(derived) // the draw happens either way: the op
                                     // stream must not shift with the override
     };
-    let key = |rng: &mut StdRng| format!("k{}", rng.gen_range(0..KEY_SPACE));
-    let mut ops = Vec::with_capacity(count);
-    for _ in 0..count {
-        let cmd = match rng.gen_range(0..100u32) {
-            0..=29 => KvCommand::put(&key(&mut rng), rng.gen_range(0..1000i64)),
-            30..=54 => KvCommand::add(&key(&mut rng), rng.gen_range(-50..50i64)),
-            55..=74 => {
-                let from = key(&mut rng);
-                let mut to = key(&mut rng);
-                while to == from {
-                    to = key(&mut rng);
-                }
-                KvCommand::transfer(&from, &to, rng.gen_range(1..100i64))
-            }
-            _ => KvCommand::get(&key(&mut rng)),
-        };
-        ops.push(cmd);
-    }
+    let ops = (0..count).map(|_| draw_kv_command(&mut rng)).collect();
 
     NetChaosPlan {
         nemesis,
@@ -354,7 +266,7 @@ pub struct NetChaosConfig {
 #[derive(Debug, Clone)]
 pub struct NetChaosReport {
     /// The replay token.
-    pub token: NetSeedToken,
+    pub token: SeedToken,
     /// Digest of the derived plan+workload ([`NetChaosPlan::digest`]).
     pub plan_digest: u64,
     /// Operations submitted.
@@ -524,7 +436,7 @@ fn group_of(id: u32) -> GroupId {
 ///
 /// Returns [`WbamError`] when the cluster cannot be brought up at all.
 pub fn run_net_token(
-    token: &NetSeedToken,
+    token: &SeedToken,
     config: &NetChaosConfig,
 ) -> Result<NetChaosReport, WbamError> {
     let plan = generate_net_plan(token, config.messages);
@@ -595,10 +507,8 @@ pub fn run_net_token(
 
     // --- Drive workload + process faults on one timeline ----------------
     let partitioner = Partitioner::new(NUM_GROUPS as u32);
-    let mut history = KvHistory {
-        partitions: NUM_GROUPS as u32,
-        ..KvHistory::default()
-    };
+    let mut ops: Vec<SubmittedOp> = Vec::with_capacity(plan.ops.len());
+    let mut completions: Vec<DeliveryRecord> = Vec::with_capacity(plan.ops.len());
     let events = build_events(&plan);
     let mut next_event = 0usize;
     let mut restarted: BTreeSet<u32> = BTreeSet::new();
@@ -650,7 +560,11 @@ pub fn run_net_token(
             let cmd = &plan.ops[submitted];
             let id = MsgId::new(client_id, submitted as u64);
             let dest = partitioner.destination_of(cmd.keys())?;
-            history.invoke(id, cmd.clone(), now);
+            ops.push(SubmittedOp {
+                id,
+                cmd: cmd.clone(),
+                at: now,
+            });
             client.submit(AppMessage::new(
                 id,
                 dest,
@@ -665,7 +579,13 @@ pub fn run_net_token(
         for d in client.drain_deliveries()? {
             seen += 1;
             if completed.insert(d.delivery.msg.id) {
-                history.complete(d.delivery.msg.id, at);
+                completions.push(DeliveryRecord {
+                    time: at,
+                    process: client_id,
+                    group: None,
+                    msg_id: d.delivery.msg.id,
+                    global_ts: d.delivery.global_ts,
+                });
             }
         }
         if submitted == plan.ops.len()
@@ -768,14 +688,8 @@ pub fn run_net_token(
 
     // --- Drained-log checks ---------------------------------------------
     if report.violation.is_none() {
-        report.violation = check_drained_logs(
-            &plan,
-            &log_dir,
-            &restarted,
-            &completed,
-            &mut history,
-            &mut report,
-        );
+        report.violation =
+            check_drained_logs(&plan, &log_dir, &restarted, &ops, completions, &mut report);
     }
 
     if report.violation.is_none() && ephemeral {
@@ -784,141 +698,96 @@ pub fn run_net_token(
     Ok(report)
 }
 
-/// Parses every incarnation's delivery log and runs the Figure 6 agreement
-/// checks plus the linearizability oracle. Returns the first violation.
+/// Parses every incarnation's delivery log into observer records and judges
+/// them, together with the client's invocations and completions, by the
+/// shared verdict. Returns the first violation.
 fn check_drained_logs(
     plan: &NetChaosPlan,
     log_dir: &Path,
     restarted: &BTreeSet<u32>,
-    completed: &BTreeSet<MsgId>,
-    history: &mut KvHistory,
+    ops: &[SubmittedOp],
+    completions: Vec<DeliveryRecord>,
     report: &mut NetChaosReport,
 ) -> Option<String> {
-    let client_id = ProcessId(REPLICAS);
     let faulty_ids: BTreeSet<u32> = plan.nemesis.crashes.iter().map(|c| c.process.0).collect();
-
-    // Observers: every original incarnation, plus a synthetic observer per
-    // restarted incarnation.
-    let mut observers: Vec<(ProcessId, GroupId, Vec<DeliveryLine>)> = Vec::new();
-    for id in 0..REPLICAS {
-        let torn_ok = faulty_ids.contains(&id); // SIGKILL may tear the tail
-        match parse_log(&log_dir.join(log_name(id, false)), torn_ok) {
-            Ok(lines) => observers.push((ProcessId(id), group_of(id), lines)),
-            Err(e) => return Some(e),
-        }
-        if restarted.contains(&id) {
-            match parse_log(&log_dir.join(log_name(id, true)), false) {
-                Ok(lines) => {
-                    observers.push((ProcessId(RESTART_OBSERVER_BASE + id), group_of(id), lines))
-                }
-                Err(e) => return Some(e),
-            }
-        }
-    }
-    report.delivery_lines = observers.iter().map(|(_, _, l)| l.len()).sum();
-
-    // Figure 6 agreement: every delivery carries a global timestamp, all
-    // observers agree on each message's timestamp, and the per-observer
-    // delivery orders embed into one total order.
-    let mut gts_of: BTreeMap<MsgId, Timestamp> = BTreeMap::new();
-    let mut per_observer: BTreeMap<ProcessId, Vec<(MsgId, Timestamp)>> = BTreeMap::new();
-    for (observer, _, lines) in &observers {
-        for line in lines {
-            let msg_id = line.msg_id();
-            if msg_id.sender != client_id || (msg_id.seq as usize) >= plan.ops.len() {
-                return Some(format!(
-                    "invariant: {observer} delivered {msg_id} which was never submitted"
-                ));
-            }
-            if line.gts_group == u32::MAX {
-                return Some(format!(
-                    "invariant: {observer} delivered {msg_id} without a global timestamp"
-                ));
-            }
-            let gts = Timestamp::new(line.gts_time, GroupId(line.gts_group));
-            if let Some(prev) = gts_of.insert(msg_id, gts) {
-                if prev != gts {
-                    return Some(format!(
-                        "invariant: observers disagree on the global timestamp of {msg_id} \
-                         ({prev} vs {gts})"
-                    ));
-                }
-            }
-            per_observer
-                .entry(*observer)
-                .or_default()
-                .push((msg_id, gts));
-        }
-    }
-    if let Err(v) = check_total_order(&per_observer) {
-        return Some(format!("invariant: {v}"));
-    }
-
-    // Individual replicas may carry loss-excused gaps, but an operation the
-    // client saw *complete* was by definition delivered somewhere: a
-    // completed op absent from every drained log means a delivery was lost
-    // outright, which no excusal covers.
-    for id in completed {
-        if !gts_of.contains_key(id) {
-            return Some(format!(
-                "invariant: op {id} completed at the client but appears in no delivery log"
-            ));
-        }
-    }
-
-    // Linearizability oracle: replay every observer's log against a fresh
-    // partitioned store, in log (= apply) order.
-    let partitioner = Partitioner::new(NUM_GROUPS as u32);
-    for (observer, group, lines) in &observers {
-        let mut store = KvStore::with_partitioner(*group, partitioner);
-        for line in lines {
-            let msg_id = line.msg_id();
-            let cmd = &plan.ops[msg_id.seq as usize];
-            let gts = Timestamp::new(line.gts_time, GroupId(line.gts_group));
-            let read = store.apply_read(cmd);
-            history.applied(msg_id, *observer, *group, gts, read);
-        }
-    }
-    let faulty: BTreeSet<ProcessId> = faulty_ids.iter().map(|id| ProcessId(*id)).collect();
-    // A restarted incarnation's history begins wherever checkpoint state
-    // transfer put it: excuse everything below its first logged timestamp.
+    let mut deliveries = completions;
     let mut excusals: BTreeMap<ProcessId, Timestamp> = BTreeMap::new();
-    for (observer, _, lines) in &observers {
-        if observer.0 >= RESTART_OBSERVER_BASE {
-            if let Some(first) = lines.first() {
-                excusals.insert(
-                    *observer,
-                    Timestamp::new(first.gts_time, GroupId(first.gts_group)),
-                );
+    for id in 0..REPLICAS {
+        let redeploy = restarted
+            .contains(&id)
+            .then_some((true, ProcessId(RESTART_OBSERVER_BASE + id)));
+        for (redeployed, observer) in [(false, ProcessId(id))].into_iter().chain(redeploy) {
+            // SIGKILL may tear the tail of a killed original's log.
+            let torn_ok = !redeployed && faulty_ids.contains(&id);
+            let lines = match parse_log(&log_dir.join(log_name(id, redeployed)), torn_ok) {
+                Ok(lines) => lines,
+                Err(e) => return Some(e),
+            };
+            let first = deliveries.len();
+            deliveries.extend(lines.iter().map(|line| {
+                DeliveryRecord {
+                    time: Duration::from_secs_f64(line.elapsed_ms.max(0.0) / 1e3),
+                    process: observer,
+                    group: Some(group_of(id)),
+                    msg_id: line.msg_id(),
+                    global_ts: (line.gts_group != u32::MAX)
+                        .then(|| Timestamp::new(line.gts_time, GroupId(line.gts_group))),
+                }
+            }));
+            // A restarted incarnation's history begins wherever checkpoint
+            // state transfer put it: excuse everything below its first
+            // logged timestamp.
+            let first_gts = deliveries.get(first).and_then(|d| d.global_ts);
+            if let (true, Some(gts)) = (redeployed, first_gts) {
+                excusals.insert(observer, gts);
             }
         }
     }
-    match history.check_excusing(&faulty, plan.nemesis.lossy(), &excusals, &BTreeMap::new()) {
-        Ok(oracle) => report.checked_reads = oracle.checked_reads,
-        Err(v) => return Some(format!("linearizability: {v}")),
+    report.delivery_lines = deliveries.iter().filter(|d| d.group.is_some()).count();
+
+    let cluster = ClusterConfig::builder()
+        .groups(NUM_GROUPS, GROUP_SIZE)
+        .clients(1)
+        .build();
+    let verdict = RunLog {
+        cluster: &cluster,
+        ops,
+        deliveries: &deliveries,
+        trace: None,
+        faulty: faulty_ids.into_iter().map(ProcessId).collect(),
+        lossy: plan.nemesis.lossy(),
+        excusals,
+        drop_excusals: BTreeMap::new(),
+        require_termination: true,
     }
-    None
+    .judge();
+    report.checked_reads = verdict.checked_reads;
+    verdict.violation
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::TokenVersion;
 
     #[test]
     fn net_tokens_round_trip_and_reject_foreign_formats() {
-        let token = NetSeedToken {
-            protocol: Protocol::WhiteBox,
-            seed: 0xfeed_f00d_dead_beef,
-        };
-        let s = token.to_string();
-        assert!(s.starts_with("WBAM_NET_SEED=n1:WbCast:"));
-        assert_eq!(NetSeedToken::parse(&s).unwrap(), token);
-        let bare = s.strip_prefix("WBAM_NET_SEED=").unwrap();
-        assert_eq!(NetSeedToken::parse(bare).unwrap(), token);
-        // Simulator tokens and baseline protocols are refused outright.
-        assert!(NetSeedToken::parse("v2:WbCast:1").is_err());
-        assert!(NetSeedToken::parse("n1:FastCast:1").is_err());
-        assert!(NetSeedToken::parse("n1:WbCast:zz").is_err());
+        // Simulator and runtime tokens and baseline protocols are refused.
+        crate::token::assert_tokens_round_trip(
+            TokenVersion::N1,
+            "WBAM_NET_SEED=n1:WbCast:",
+            &[Protocol::WhiteBox],
+            &[
+                "v2:WbCast:1",
+                "rt1:WbCast:1",
+                "n1:FastCast:1",
+                "n1:WbCast:zz",
+            ],
+        );
+    }
+
+    fn net_token(base_seed: u64, index: usize) -> SeedToken {
+        SeedToken::sweep(TokenVersion::N1, base_seed, index, &[Protocol::WhiteBox])
     }
 
     /// The replayability contract: the same token always derives the same
@@ -926,7 +795,7 @@ mod tests {
     /// and different seeds diverge.
     #[test]
     fn plans_are_deterministic_and_seed_sensitive() {
-        let token = net_schedule_token(42, 3);
+        let token = net_token(42, 3);
         let a = generate_net_plan(&token, None);
         let b = generate_net_plan(&token, None);
         assert_eq!(a, b);
@@ -939,7 +808,7 @@ mod tests {
             a.ops[..5],
             "override must not shift the op stream"
         );
-        let other = generate_net_plan(&net_schedule_token(42, 4), None);
+        let other = generate_net_plan(&net_token(42, 4), None);
         assert_ne!(a.digest(), other.digest());
     }
 
@@ -948,7 +817,7 @@ mod tests {
     #[test]
     fn every_plan_has_drops_partition_heal_and_restarting_crash() {
         for index in 0..32 {
-            let plan = generate_net_plan(&net_schedule_token(7, index), None);
+            let plan = generate_net_plan(&net_token(7, index), None);
             assert!(plan.nemesis.link.drop_per_mille > 0);
             assert!(plan.nemesis.lossy());
             assert_eq!(plan.nemesis.partitions.len(), 1);
@@ -971,7 +840,7 @@ mod tests {
     /// The fault timeline is sorted and pairs every kill with its restart.
     #[test]
     fn event_timelines_are_ordered() {
-        let plan = generate_net_plan(&net_schedule_token(11, 0), None);
+        let plan = generate_net_plan(&net_token(11, 0), None);
         let events = build_events(&plan);
         assert!(events.windows(2).all(|w| w[0].0 <= w[1].0));
         let kills = events

@@ -37,6 +37,18 @@ impl Protocol {
         }
     }
 
+    /// The protocol a [`label`](Self::label) names, if any.
+    pub(crate) fn from_label(label: &str) -> Option<Protocol> {
+        [
+            Protocol::WhiteBox,
+            Protocol::FastCast,
+            Protocol::FtSkeen,
+            Protocol::Skeen,
+        ]
+        .into_iter()
+        .find(|p| p.label() == label)
+    }
+
     /// All fault-tolerant protocols compared in Figures 7 and 8.
     pub fn evaluated() -> [Protocol; 3] {
         [Protocol::WhiteBox, Protocol::FastCast, Protocol::FtSkeen]

@@ -229,14 +229,14 @@ impl DeploySpec {
     /// Returns [`WbamError::Codec`] for labels that do not name a deployable
     /// protocol.
     pub fn protocol(&self) -> Result<Protocol, WbamError> {
-        match self.protocol.as_str() {
-            "WbCast" => Ok(Protocol::WhiteBox),
-            "FastCast" => Ok(Protocol::FastCast),
-            "Skeen" => Ok(Protocol::FtSkeen),
-            other => Err(WbamError::Codec(format!(
-                "unknown deployable protocol label {other:?} (expected WbCast, FastCast or Skeen)"
-            ))),
-        }
+        Protocol::from_label(&self.protocol)
+            .filter(|p| Protocol::evaluated().contains(p))
+            .ok_or_else(|| {
+                WbamError::Codec(format!(
+                    "unknown deployable protocol label {:?} (expected WbCast, FastCast or Skeen)",
+                    self.protocol
+                ))
+            })
     }
 
     /// The wire codec this cluster's connections use ([`WireCodec::Binary`]

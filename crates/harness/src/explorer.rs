@@ -1,75 +1,42 @@
-//! Seeded schedule explorer: randomized fault exploration with replayable
-//! failure seeds.
+//! The simulator engine of the seeded schedule explorer: randomized fault
+//! exploration with replayable failure seeds.
 //!
-//! The explorer derives, from a single 64-bit seed, a complete experiment —
-//! cluster topology, client workload (key-value commands over
-//! [`wbam_kvstore`]), and a [`NemesisPlan`] of drops, duplication, partitions,
-//! crash/restarts and timer jitter — runs it in the deterministic simulator,
-//! and checks every run against:
+//! From a single 64-bit seed ([`SeedToken`] versions `v1`/`v2`) this module
+//! derives a complete experiment — cluster topology, client workload
+//! (key-value commands over [`wbam_kvstore`]), and a [`NemesisPlan`] of
+//! drops, duplication, partitions, crash/restarts and timer jitter — runs it
+//! in the deterministic simulator, and judges it with the shared
+//! [`verdict`](crate::verdict): the Figure 6 invariants on the recorded
+//! message trace (white-box protocol) and on the per-process delivery logs
+//! (every protocol), the key-value linearizability oracle, and termination
+//! wherever the protocol's retry machinery guarantees it under the
+//! generated plan (always for the white-box protocol, whose
+//! message-recovery rule tolerates transient loss; only under loss-free
+//! plans for the baselines, which implement the paper's reliable-channel
+//! model faithfully).
 //!
-//! * the Figure 6 protocol invariants (`wbam_core::invariants`) on the
-//!   recorded message trace (white-box protocol) and on the per-process
-//!   delivery logs (every protocol), and
-//! * the key-value store linearizability oracle
-//!   ([`KvHistory::check`](wbam_kvstore::KvHistory::check)), fed with each
-//!   replica's apply sequence and each client's invocations/completions, and
-//! * a termination check — every submitted operation completes — wherever
-//!   the protocol's retry machinery guarantees it under the generated plan
-//!   (always for the white-box protocol, whose message-recovery rule
-//!   tolerates transient loss; only under loss-free plans for the baselines,
-//!   which implement the paper's reliable-channel model faithfully).
-//!
-//! Everything is derived deterministically from the seed, so a failing run is
-//! reported as a single replayable token (printed as `WBAM_SEED=…`):
-//! re-running [`run_token`] on the token reproduces the identical schedule
-//! byte for byte ([`ScheduleReport::digest`] is equal). Before reporting, the
-//! explorer greedily [`minimize`]s the nemesis plan: it re-runs the schedule
-//! with each fault element removed and keeps every removal that still fails.
+//! Everything is derived deterministically from the seed, so a failing run
+//! is reported as a single replayable token (printed as `WBAM_SEED=…`):
+//! replaying it reproduces the identical schedule byte for byte
+//! ([`RunReport::digest`] is equal). [`SimEngine`] plugs the module into
+//! the shared [`driver`](crate::driver), which sweeps, greedily minimizes
+//! the nemesis plan of failing schedules, and runs the `explorer` binary.
 
 use std::collections::BTreeSet;
-use std::fmt;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use wbam_core::invariants::{
-    check_deliver_agreement, check_deliver_local_ts_per_group, check_total_order,
-    check_unique_proposals,
-};
-use wbam_kvstore::{KvCommand, KvHistory, KvStore, Partitioner};
+use wbam_kvstore::Partitioner;
 use wbam_simnet::LatencyModel;
-use wbam_types::{CrashSpec, GroupId, MsgId, NemesisPlan, PartitionSpec, ProcessId, Timestamp};
+use wbam_types::{CrashSpec, GroupId, NemesisPlan, PartitionSpec, ProcessId};
 
 use crate::cluster::{ClusterSpec, Protocol, ProtocolSim};
-
-/// Schedule-derivation versions. Old tokens must never change meaning: every
-/// regression-corpus token replays byte for byte forever, so any change to
-/// what a seed derives is a new version, and [`generate_schedule`] keeps the
-/// old derivations verbatim.
-///
-/// * `V1` (PR 3): topology, workload and nemesis plan; no compaction.
-/// * `V2` (PR 4): additionally derives a compaction cadence (watermark
-///   interval + lag) and an extra mid-run crash/restart, so schedules
-///   exercise pruning, checkpoints and state transfer mid-checkpoint. The
-///   V2 draws come from a *separately salted* RNG, leaving the V1 stream —
-///   and therefore every V1 token — untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TokenVersion {
-    /// PR 3 derivation (no compaction).
-    V1,
-    /// PR 4 derivation (compaction + mid-checkpoint crash/restart).
-    V2,
-}
-
-impl TokenVersion {
-    fn label(self) -> &'static str {
-        match self {
-            TokenVersion::V1 => "v1",
-            TokenVersion::V2 => "v2",
-        }
-    }
-}
+use crate::driver::{Engine, ExplorationReport, RunReport};
+use crate::token::{SeedToken, TokenVersion};
+use crate::verdict::{run_digest, RunLog, SubmittedOp};
+use crate::workload::{draw_kv_command, PlannedOp};
 
 /// End of the chaos window: probabilistic link faults and timer jitter stop
 /// here, partitions heal before it, and the stabilization nudges follow it.
@@ -78,84 +45,6 @@ const CHAOS_END: Duration = Duration::from_secs(8);
 /// Simulated-time horizon of one schedule. Leaves > 20 s of calm after the
 /// chaos window — enough for the 2 s client retry fallbacks to converge.
 const HORIZON: Duration = Duration::from_secs(30);
-
-/// Keys the generated workload touches (a small space maximises conflicts).
-const KEY_SPACE: u32 = 6;
-
-/// A replayable schedule identifier: derivation version, protocol and
-/// generation seed.
-///
-/// Printed as `WBAM_SEED=v<n>:<protocol>:<seed-hex>`; [`SeedToken::parse`]
-/// accepts the same string with or without the `WBAM_SEED=` prefix, for any
-/// supported version — old corpus tokens keep replaying their original
-/// schedules byte for byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeedToken {
-    /// The schedule-derivation version.
-    pub version: TokenVersion,
-    /// The protocol the schedule runs.
-    pub protocol: Protocol,
-    /// The seed every part of the schedule is derived from.
-    pub seed: u64,
-}
-
-impl fmt::Display for SeedToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "WBAM_SEED={}:{}:{:016x}",
-            self.version.label(),
-            self.protocol.label(),
-            self.seed
-        )
-    }
-}
-
-impl SeedToken {
-    /// Parses a token previously printed by [`fmt::Display`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem if the string is not a valid
-    /// token of a supported version.
-    pub fn parse(s: &str) -> Result<SeedToken, String> {
-        let body = s.trim().strip_prefix("WBAM_SEED=").unwrap_or(s.trim());
-        let parts: Vec<&str> = body.split(':').collect();
-        let [version, label, seed_hex] = parts[..] else {
-            return Err(format!("expected v<n>:<protocol>:<seed>, got `{body}`"));
-        };
-        let version = match version {
-            "v1" => TokenVersion::V1,
-            "v2" => TokenVersion::V2,
-            other => return Err(format!("token version `{other}` not supported (v1, v2)")),
-        };
-        let protocol = match label {
-            "WbCast" => Protocol::WhiteBox,
-            "FastCast" => Protocol::FastCast,
-            "Skeen" => Protocol::FtSkeen,
-            "Skeen1" => Protocol::Skeen,
-            other => return Err(format!("unknown protocol label `{other}`")),
-        };
-        let seed =
-            u64::from_str_radix(seed_hex, 16).map_err(|e| format!("bad seed `{seed_hex}`: {e}"))?;
-        Ok(SeedToken {
-            version,
-            protocol,
-            seed,
-        })
-    }
-}
-
-/// One planned workload operation.
-#[derive(Debug, Clone)]
-pub struct PlannedOp {
-    /// Submission time.
-    pub at: Duration,
-    /// Index of the submitting client.
-    pub client_index: usize,
-    /// The key-value command.
-    pub cmd: KvCommand,
-}
 
 /// A fully generated schedule: cluster spec (with nemesis plan), workload,
 /// and run parameters. Everything here is a pure function of the token.
@@ -167,109 +56,6 @@ pub struct GeneratedSchedule {
     pub ops: Vec<PlannedOp>,
     /// Simulated-time horizon.
     pub horizon: Duration,
-}
-
-/// The result of running one schedule.
-#[derive(Debug, Clone)]
-pub struct ScheduleReport {
-    /// The schedule's replay token.
-    pub token: SeedToken,
-    /// Stable digest of the run's observable behaviour (all delivery
-    /// records); equal digests mean byte-for-byte identical schedules.
-    pub digest: u64,
-    /// Operations submitted.
-    pub ops: usize,
-    /// Operations that completed at their client.
-    pub completed: usize,
-    /// Total delivery records (replica applies + client completions).
-    pub deliveries: usize,
-    /// Messages the nemesis dropped.
-    pub nemesis_dropped: u64,
-    /// Messages the nemesis duplicated.
-    pub nemesis_duplicated: u64,
-    /// The first violation found, if any (prefixed with its category:
-    /// `config:`, `invariant:`, `linearizability:` or `termination:`).
-    pub violation: Option<String>,
-}
-
-/// A failing schedule, with its minimized nemesis plan.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// Replay token reproducing the failure.
-    pub token: SeedToken,
-    /// The violation.
-    pub description: String,
-    /// The greedily minimized nemesis plan (still failing), if minimization
-    /// was enabled.
-    pub minimized: Option<NemesisPlan>,
-}
-
-/// Aggregate results of an exploration.
-#[derive(Debug, Clone, Default)]
-pub struct ExplorationReport {
-    /// Schedules run.
-    pub schedules: usize,
-    /// Failing schedules.
-    pub findings: Vec<Finding>,
-    /// Total operations submitted.
-    pub total_ops: usize,
-    /// Total operations completed.
-    pub total_completed: usize,
-    /// Total messages dropped by the nemesis.
-    pub nemesis_dropped: u64,
-    /// Total messages duplicated by the nemesis.
-    pub nemesis_duplicated: u64,
-    /// Total crashes scheduled.
-    pub crashes: usize,
-    /// Total partitions scheduled.
-    pub partitions: usize,
-}
-
-/// Configuration of an exploration run.
-#[derive(Debug, Clone)]
-pub struct ExplorerConfig {
-    /// Number of schedules to run; schedule `i` runs
-    /// `protocols[i % protocols.len()]` with a seed derived from
-    /// `base_seed` and `i`.
-    pub schedules: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Protocols to rotate through.
-    pub protocols: Vec<Protocol>,
-    /// Minimize the nemesis plan of failing schedules before reporting.
-    pub minimize: bool,
-}
-
-impl Default for ExplorerConfig {
-    fn default() -> Self {
-        ExplorerConfig {
-            schedules: 50,
-            base_seed: 42,
-            protocols: Protocol::evaluated().to_vec(),
-            minimize: true,
-        }
-    }
-}
-
-/// SplitMix64, used to derive per-schedule seeds from the base seed (and by
-/// the deployed chaos harness to derive per-link and per-plan seeds).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The token of schedule `index` in an exploration starting at `base_seed`.
-/// Fresh explorations always use the newest derivation version; old versions
-/// exist only so corpus tokens keep their meaning.
-pub fn schedule_token(base_seed: u64, index: usize, protocols: &[Protocol]) -> SeedToken {
-    SeedToken {
-        version: TokenVersion::V2,
-        protocol: protocols[index % protocols.len()],
-        seed: splitmix64(base_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    }
 }
 
 fn ms(v: u64) -> Duration {
@@ -411,7 +197,6 @@ pub fn generate_schedule(token: &SeedToken) -> GeneratedSchedule {
     }
 
     // --- Workload -------------------------------------------------------
-    let key = |rng: &mut StdRng| format!("k{}", rng.gen_range(0..KEY_SPACE));
     let num_ops = rng.gen_range(15..=40usize);
     let mut ops = Vec::with_capacity(num_ops);
     for _ in 0..num_ops {
@@ -430,19 +215,7 @@ pub fn generate_schedule(token: &SeedToken) -> GeneratedSchedule {
                 }
             }
         }
-        let cmd = match rng.gen_range(0..100u32) {
-            0..=29 => KvCommand::put(&key(&mut rng), rng.gen_range(0..1000i64)),
-            30..=54 => KvCommand::add(&key(&mut rng), rng.gen_range(-50..50i64)),
-            55..=74 => {
-                let from = key(&mut rng);
-                let mut to = key(&mut rng);
-                while to == from {
-                    to = key(&mut rng);
-                }
-                KvCommand::transfer(&from, &to, rng.gen_range(1..100i64))
-            }
-            _ => KvCommand::get(&key(&mut rng)),
-        };
+        let cmd = draw_kv_command(&mut rng);
         ops.push(PlannedOp {
             at,
             client_index,
@@ -509,323 +282,198 @@ fn termination_checkable(
     }
 }
 
-/// FNV-1a over the run's observable behaviour.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, v: u64) {
-        // FNV-1a, one byte at a time.
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
-/// Runs a generated schedule (used directly by [`minimize`] with a modified
-/// plan; use [`run_token`] to run the canonical schedule of a token).
-pub fn run_generated(token: &SeedToken, schedule: &GeneratedSchedule) -> ScheduleReport {
-    let mut report = ScheduleReport {
-        token: *token,
-        digest: 0,
-        ops: schedule.ops.len(),
-        completed: 0,
-        deliveries: 0,
-        nemesis_dropped: 0,
-        nemesis_duplicated: 0,
-        violation: None,
-    };
+/// Runs a generated schedule (the token's own, or one the minimizer
+/// shrank) and judges it.
+pub fn run_generated(token: &SeedToken, schedule: &GeneratedSchedule) -> RunReport {
     let mut sim = match ProtocolSim::try_build(token.protocol, &schedule.spec) {
         Ok(sim) => sim,
-        Err(e) => {
-            report.violation = Some(format!("config: {e}"));
-            return report;
-        }
+        Err(e) => return RunReport::unbuildable(*token, schedule.ops.len(), e),
     };
     let partitioner = Partitioner::new(schedule.spec.num_groups as u32);
-    let mut history = KvHistory {
-        partitions: schedule.spec.num_groups as u32,
-        ..KvHistory::default()
-    };
-    let mut op_ids: Vec<MsgId> = Vec::with_capacity(schedule.ops.len());
+    let mut ops = Vec::with_capacity(schedule.ops.len());
     for op in &schedule.ops {
         let dest = partitioner
             .destination_of(op.cmd.keys())
             .expect("generated commands have keys");
         let payload = serde_json::to_vec(&op.cmd).expect("commands encode");
         let id = sim.submit_with_payload(op.at, op.client_index, dest.groups(), payload);
-        history.invoke(id, op.cmd.clone(), op.at);
-        op_ids.push(id);
+        ops.push(SubmittedOp {
+            id,
+            cmd: op.cmd.clone(),
+            at: op.at,
+        });
     }
     sim.run_until_quiescent(schedule.horizon);
 
-    let cluster = sim.cluster().clone();
-    let deliveries = sim.deliveries().to_vec();
-    report.deliveries = deliveries.len();
+    let nemesis = &schedule.spec.nemesis;
+    let trace = sim.whitebox_trace();
+    let deliveries = sim.deliveries();
     let stats = sim.stats();
-    report.nemesis_dropped = stats.nemesis_dropped;
-    report.nemesis_duplicated = stats.nemesis_duplicated;
-
-    // Digest of the observable behaviour: every delivery record in order.
-    let mut digest = Digest::new();
-    for record in &deliveries {
-        digest.write(record.time.as_nanos() as u64);
-        digest.write(u64::from(record.process.0));
-        digest.write(u64::from(record.msg_id.sender.0));
-        digest.write(record.msg_id.seq);
-        let gts = record.global_ts.unwrap_or(Timestamp::BOTTOM);
-        digest.write(gts.time());
-        digest.write(gts.group().map(|g| u64::from(g.0) + 1).unwrap_or(0));
+    let clients = sim.cluster().clients();
+    let verdict = RunLog {
+        cluster: sim.cluster(),
+        ops: &ops,
+        deliveries,
+        trace: trace.as_deref(),
+        faulty: nemesis.faulty_processes().into_iter().collect(),
+        lossy: nemesis.lossy(),
+        // Replicas that recovered via checkpoint state transfer installed
+        // the history below their transfer watermark instead of replaying
+        // it; the oracle excuses (rather than flags) exactly that prefix.
+        excusals: sim.transfer_excusals(),
+        drop_excusals: sim.drop_excusals(),
+        require_termination: termination_checkable(token.protocol, nemesis, clients),
     }
-    digest.write(stats.messages_sent);
-    report.digest = digest.0;
-
-    // --- Figure 6 invariants -------------------------------------------
-    if let Some(trace) = sim.whitebox_trace() {
-        let result = check_unique_proposals(&trace)
-            .and_then(|()| check_deliver_agreement(&trace))
-            .and_then(|()| check_deliver_local_ts_per_group(&trace, |p| cluster.group_of(p)));
-        if let Err(v) = result {
-            report.violation = Some(format!("invariant: {v}"));
-            return report;
-        }
+    .judge();
+    RunReport {
+        nemesis_dropped: stats.nemesis_dropped,
+        nemesis_duplicated: stats.nemesis_duplicated,
+        ..RunReport::checked(
+            *token,
+            ops.len(),
+            deliveries.len(),
+            run_digest(deliveries, stats.messages_sent),
+            verdict,
+        )
     }
-    // Delivery-log invariants (all protocols): agreement on global
-    // timestamps, integrity and per-process timestamp order.
-    let mut per_process: std::collections::BTreeMap<ProcessId, Vec<(MsgId, Timestamp)>> =
-        std::collections::BTreeMap::new();
-    for record in &deliveries {
-        if record.group.is_some() {
-            let Some(gts) = record.global_ts else {
-                report.violation = Some(format!(
-                    "invariant: {} delivered {} without a global timestamp",
-                    record.process, record.msg_id
-                ));
-                return report;
-            };
-            per_process
-                .entry(record.process)
-                .or_default()
-                .push((record.msg_id, gts));
-        }
-    }
-    if let Err(v) = check_total_order(&per_process) {
-        report.violation = Some(format!("invariant: {v}"));
-        return report;
-    }
-
-    // --- Linearizability oracle ----------------------------------------
-    let op_cmds: std::collections::BTreeMap<MsgId, &KvCommand> = op_ids
-        .iter()
-        .zip(schedule.ops.iter())
-        .map(|(id, op)| (*id, &op.cmd))
-        .collect();
-    let mut replica_stores: std::collections::BTreeMap<ProcessId, KvStore> =
-        std::collections::BTreeMap::new();
-    for record in &deliveries {
-        match record.group {
-            None => {
-                history.complete(record.msg_id, record.time);
-            }
-            Some(group) => {
-                let Some(cmd) = op_cmds.get(&record.msg_id) else {
-                    report.violation = Some(format!(
-                        "invariant: {} delivered {} which was never submitted",
-                        record.process, record.msg_id
-                    ));
-                    return report;
-                };
-                let gts = record.global_ts.expect("replica deliveries checked above");
-                let store = replica_stores
-                    .entry(record.process)
-                    .or_insert_with(|| KvStore::with_partitioner(group, partitioner));
-                let read = store.apply_read(cmd);
-                history.applied(record.msg_id, record.process, group, gts, read);
-            }
-        }
-    }
-    report.completed = history
-        .ops
-        .iter()
-        .filter(|o| o.completed_at.is_some())
-        .count();
-    let faulty: BTreeSet<ProcessId> = schedule
-        .spec
-        .nemesis
-        .faulty_processes()
-        .into_iter()
-        .collect();
-    // Replicas that recovered via checkpoint state transfer installed the
-    // history below their transfer watermark instead of replaying it; the
-    // oracle excuses (rather than flags) exactly that prefix.
-    let excusals = sim.transfer_excusals();
-    let drop_excusals = sim.drop_excusals();
-    if let Err(v) = history.check_excusing(
-        &faulty,
-        schedule.spec.nemesis.lossy(),
-        &excusals,
-        &drop_excusals,
-    ) {
-        report.violation = Some(format!("linearizability: {v}"));
-        return report;
-    }
-
-    // --- Termination ----------------------------------------------------
-    if termination_checkable(token.protocol, &schedule.spec.nemesis, cluster.clients()) {
-        let undelivered: Vec<MsgId> = history
-            .ops
-            .iter()
-            .filter(|o| o.completed_at.is_none())
-            .map(|o| o.id)
-            .collect();
-        if !undelivered.is_empty() {
-            report.violation = Some(format!(
-                "termination: {} of {} operations never completed (first: {})",
-                undelivered.len(),
-                schedule.ops.len(),
-                undelivered[0]
-            ));
-            return report;
-        }
-    }
-    report
 }
 
-/// Runs the canonical schedule of a token.
-pub fn run_token(token: &SeedToken) -> ScheduleReport {
-    let schedule = generate_schedule(token);
-    run_generated(token, &schedule)
-}
+/// The simulator engine: `v1`/`v2` tokens, [`GeneratedSchedule`] plans.
+///
+/// The minimizer's shrink points, highest first: each crash, each
+/// partition and each leader nudge (last to first), then the drop,
+/// duplicate and reorder knobs and the timer jitter, zeroed.
+#[derive(Debug, Clone, Copy)]
+pub struct SimEngine;
 
-/// Greedily minimizes the nemesis plan of a failing schedule: repeatedly
-/// removes individual crashes, partitions and nudges, and zeroes the
-/// probabilistic fault knobs, keeping each removal whose schedule still
-/// fails. Returns the smallest still-failing plan found.
-pub fn minimize(token: &SeedToken) -> NemesisPlan {
-    let base = generate_schedule(token);
-    let still_fails = |plan: &NemesisPlan| -> bool {
-        let mut schedule = base.clone();
-        schedule.spec.nemesis = plan.clone();
-        run_generated(token, &schedule).violation.is_some()
-    };
-    let mut plan = base.spec.nemesis.clone();
-    for _pass in 0..4 {
-        let mut changed = false;
-        for idx in (0..plan.crashes.len()).rev() {
-            let mut candidate = plan.clone();
-            candidate.crashes.remove(idx);
-            if still_fails(&candidate) {
-                plan = candidate;
-                changed = true;
-            }
-        }
-        for idx in (0..plan.partitions.len()).rev() {
-            let mut candidate = plan.clone();
-            candidate.partitions.remove(idx);
-            if still_fails(&candidate) {
-                plan = candidate;
-                changed = true;
-            }
-        }
-        for idx in (0..plan.leader_nudges.len()).rev() {
-            let mut candidate = plan.clone();
-            candidate.leader_nudges.remove(idx);
-            if still_fails(&candidate) {
-                plan = candidate;
-                changed = true;
-            }
-        }
-        for knob in 0..4 {
-            let mut candidate = plan.clone();
-            let active = match knob {
-                0 => {
-                    let was = candidate.link.drop_per_mille > 0;
-                    candidate.link.drop_per_mille = 0;
-                    was
-                }
-                1 => {
-                    let was = candidate.link.duplicate_per_mille > 0;
-                    candidate.link.duplicate_per_mille = 0;
-                    was
-                }
-                2 => {
-                    let was = candidate.link.reorder_per_mille > 0;
-                    candidate.link.reorder_per_mille = 0;
-                    was
-                }
-                _ => {
-                    let was = !candidate.timer_jitter.is_zero();
-                    candidate.timer_jitter = Duration::ZERO;
-                    was
-                }
-            };
-            if active && still_fails(&candidate) {
-                plan = candidate;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    plan
-}
+/// Probabilistic fault knobs the minimizer zeroes, in shrink order.
+const KNOBS: usize = 4;
 
-/// Runs an exploration: `config.schedules` seeded schedules rotating over
-/// `config.protocols`, collecting findings (with minimized plans) and
-/// aggregate statistics.
-pub fn explore(config: &ExplorerConfig) -> ExplorationReport {
-    let mut report = ExplorationReport::default();
-    for index in 0..config.schedules {
-        let token = schedule_token(config.base_seed, index, &config.protocols);
-        let schedule = generate_schedule(&token);
-        report.crashes += schedule.spec.nemesis.crashes.len();
-        report.partitions += schedule.spec.nemesis.partitions.len();
-        let run = run_generated(&token, &schedule);
-        report.schedules += 1;
-        report.total_ops += run.ops;
-        report.total_completed += run.completed;
-        report.nemesis_dropped += run.nemesis_dropped;
-        report.nemesis_duplicated += run.nemesis_duplicated;
-        if let Some(description) = run.violation {
-            let minimized = config.minimize.then(|| minimize(&token));
-            report.findings.push(Finding {
-                token,
-                description,
-                minimized,
-            });
-        }
+impl Engine for SimEngine {
+    type Plan = GeneratedSchedule;
+
+    const VERSION: TokenVersion = TokenVersion::V2;
+    const REPLAYS: &'static [TokenVersion] = &[TokenVersion::V1, TokenVersion::V2];
+    const BIN: &'static str = "explorer";
+    const RUNS: &'static str = "schedules";
+    const CLEAN: &'static str =
+        "no violations: Figure 6 invariants and the linearizability oracle held on every schedule";
+    const FAILING: &'static str = "FAILING SCHEDULE";
+
+    fn generate(token: &SeedToken) -> GeneratedSchedule {
+        generate_schedule(token)
     }
-    report
+
+    fn run(token: &SeedToken, plan: &GeneratedSchedule) -> RunReport {
+        run_generated(token, plan)
+    }
+
+    fn faults(plan: &GeneratedSchedule) -> (usize, usize) {
+        let nemesis = &plan.spec.nemesis;
+        (nemesis.crashes.len(), nemesis.partitions.len())
+    }
+
+    fn shrink_points(plan: &GeneratedSchedule) -> usize {
+        let nemesis = &plan.spec.nemesis;
+        KNOBS + nemesis.leader_nudges.len() + nemesis.partitions.len() + nemesis.crashes.len()
+    }
+
+    fn shrink(plan: &GeneratedSchedule, point: usize) -> Option<GeneratedSchedule> {
+        let mut shrunk = plan.clone();
+        let nemesis = &mut shrunk.spec.nemesis;
+        let active = match point {
+            // Knobs sit below every list, in reverse shrink order, so
+            // removing a list element never renumbers them.
+            0 => !std::mem::take(&mut nemesis.timer_jitter).is_zero(),
+            1 => std::mem::take(&mut nemesis.link.reorder_per_mille) > 0,
+            2 => std::mem::take(&mut nemesis.link.duplicate_per_mille) > 0,
+            3 => std::mem::take(&mut nemesis.link.drop_per_mille) > 0,
+            p => {
+                let p = p - KNOBS;
+                let nudges = nemesis.leader_nudges.len();
+                let partitions = nemesis.partitions.len();
+                if p < nudges {
+                    nemesis.leader_nudges.remove(p);
+                } else if p < nudges + partitions {
+                    nemesis.partitions.remove(p - nudges);
+                } else {
+                    nemesis.crashes.remove(p - nudges - partitions);
+                }
+                true
+            }
+        };
+        active.then_some(shrunk)
+    }
+
+    fn describe(plan: &GeneratedSchedule) -> Vec<String> {
+        let spec = &plan.spec;
+        vec![
+            format!(
+                "cluster: {} groups x {} replicas, {} clients, {} ops, batching {}, compaction {}",
+                spec.num_groups,
+                spec.group_size,
+                spec.num_clients,
+                plan.ops.len(),
+                if spec.batch_delay.is_zero() {
+                    "off".to_string()
+                } else {
+                    format!("{}", spec.max_batch)
+                },
+                if spec.compaction_interval == 0 {
+                    "off".to_string()
+                } else {
+                    format!(
+                        "every {} (lag {})",
+                        spec.compaction_interval, spec.compaction_lag
+                    )
+                },
+            ),
+            format!("nemesis: {:?}", spec.nemesis),
+        ]
+    }
+
+    fn outcome(report: &RunReport) -> String {
+        format!(
+            "digest {:016x}; {}/{} ops completed, {} deliveries, {} dropped, {} duplicated",
+            report.digest,
+            report.completed,
+            report.ops,
+            report.deliveries,
+            report.nemesis_dropped,
+            report.nemesis_duplicated,
+        )
+    }
+
+    fn fault_summary(report: &ExplorationReport<GeneratedSchedule>) -> String {
+        format!(
+            "{} crashes, {} partitions, {} messages dropped, {} duplicated",
+            report.crashes, report.partitions, report.nemesis_dropped, report.nemesis_duplicated,
+        )
+    }
+
+    fn minimized(plan: &GeneratedSchedule) -> String {
+        format!("minimized nemesis plan: {:?}", plan.spec.nemesis)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{explore, run_token, ExplorerConfig};
+    use crate::token::assert_tokens_round_trip;
 
     #[test]
     fn tokens_round_trip_through_display_and_parse() {
-        for version in [TokenVersion::V1, TokenVersion::V2] {
-            for protocol in Protocol::evaluated() {
-                let token = SeedToken {
-                    version,
-                    protocol,
-                    seed: 0xdead_beef_1234_5678,
-                };
-                let s = token.to_string();
-                assert!(s.starts_with(&format!("WBAM_SEED={}:", version.label())));
-                assert_eq!(SeedToken::parse(&s).unwrap(), token);
-                // The prefix is optional on input.
-                let bare = s.strip_prefix("WBAM_SEED=").unwrap();
-                assert_eq!(SeedToken::parse(bare).unwrap(), token);
-            }
-        }
-        assert!(SeedToken::parse("v0:WbCast:1").is_err());
-        assert!(SeedToken::parse("v1:NoSuch:1").is_err());
-        assert!(SeedToken::parse("v1:WbCast:zz").is_err());
+        let all = [
+            Protocol::WhiteBox,
+            Protocol::FastCast,
+            Protocol::FtSkeen,
+            Protocol::Skeen,
+        ];
+        // Runtime-explorer tokens are refused: the derivations share nothing.
+        let rejected = ["v0:WbCast:1", "v1:NoSuch:1", "v1:WbCast:zz", "rt1:WbCast:1"];
+        assert_tokens_round_trip(TokenVersion::V1, "WBAM_SEED=v1:", &all, &rejected);
+        assert_tokens_round_trip(TokenVersion::V2, "WBAM_SEED=v2:", &all, &rejected);
     }
 
     #[test]
@@ -886,11 +534,43 @@ mod tests {
         }
     }
 
+    /// Every shrink point removes exactly one fault element or zeroes one
+    /// active knob, and inactive knobs yield no candidate.
+    #[test]
+    fn shrink_points_each_remove_one_fault() {
+        let faults = |p: &GeneratedSchedule| {
+            let n = &p.spec.nemesis;
+            let knobs = [
+                n.link.drop_per_mille > 0,
+                n.link.duplicate_per_mille > 0,
+                n.link.reorder_per_mille > 0,
+                !n.timer_jitter.is_zero(),
+            ];
+            let active = knobs.iter().filter(|k| **k).count();
+            n.crashes.len() + n.partitions.len() + n.leader_nudges.len() + active
+        };
+        for seed in 0..20 {
+            let plan = generate_schedule(&SeedToken::sweep(
+                TokenVersion::V2,
+                seed,
+                0,
+                &[Protocol::WhiteBox],
+            ));
+            let candidates: Vec<_> = (0..SimEngine::shrink_points(&plan))
+                .filter_map(|point| SimEngine::shrink(&plan, point))
+                .collect();
+            assert_eq!(candidates.len(), faults(&plan));
+            for candidate in candidates {
+                assert_eq!(faults(&candidate) + 1, faults(&plan));
+            }
+        }
+    }
+
     #[test]
     fn replaying_a_token_reproduces_the_digest() {
-        let token = schedule_token(1, 0, &Protocol::evaluated());
-        let a = run_token(&token);
-        let b = run_token(&token);
+        let token = SeedToken::sweep(TokenVersion::V2, 1, 0, &Protocol::evaluated());
+        let a = run_token::<SimEngine>(&token);
+        let b = run_token::<SimEngine>(&token);
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.violation, b.violation);
@@ -919,7 +599,7 @@ mod tests {
 
     #[test]
     fn a_small_exploration_passes_cleanly() {
-        let report = explore(&ExplorerConfig {
+        let report = explore::<SimEngine>(&ExplorerConfig {
             schedules: 6,
             base_seed: 3,
             protocols: Protocol::evaluated().to_vec(),

@@ -15,9 +15,17 @@
 //!   the message-flow/convoy figures.
 //! * [`mod@sweep`] — parameter sweeps over client counts and destination-group
 //!   counts, producing the rows of Figures 7 and 8.
-//! * [`explorer`] — the seeded schedule explorer: randomized workloads and
-//!   nemesis fault plans, checked against the Figure 6 invariants and the
-//!   key-value store linearizability oracle, with replayable failure seeds.
+//! * [`token`] — [`SeedToken`], the one replay-token type of every seeded
+//!   engine (`v1`/`v2` simulator, `rt1` deterministic runtime, `n1`
+//!   deployed chaos).
+//! * [`verdict`] — the one check pipeline every engine's runs are judged by:
+//!   the Figure 6 invariants, total order, the key-value linearizability
+//!   oracle and termination.
+//! * [`driver`] — the sweep, greedy minimizer, replay and command line
+//!   shared by the `explorer` and `rt_explorer` binaries.
+//! * [`explorer`] — the simulator engine of the seeded schedule explorer:
+//!   randomized workloads and nemesis fault plans, with replayable failure
+//!   seeds.
 //! * [`deploy`] — topology specs for *deployed* clusters (one OS process per
 //!   replica or client over the TCP transport of `wbam-runtime`), consumed
 //!   by the `wbamd` binary, plus the JSONL log formats it emits.
@@ -28,12 +36,11 @@
 //! * [`chaos`] — the deployed chaos driver behind the `net_chaos` binary:
 //!   seeded plan + workload generation, live-cluster orchestration with
 //!   process faults (SIGKILL/redeploy, SIGSTOP/SIGCONT), delivery-log
-//!   draining, and the Figure 6 / linearizability checks over the result.
-//! * [`rt`] — the deterministic-runtime explorer behind the `rt_explorer`
+//!   draining, and the shared verdict over the result.
+//! * [`rt`] — the deterministic-runtime engine behind the `rt_explorer`
 //!   binary: seeded interleavings of the *deployed* node loop
 //!   ([`DeterministicRuntime`](wbam_runtime::DeterministicRuntime) under a
-//!   virtual clock), with replayable `rt1` tokens, the same Figure 6 /
-//!   linearizability checks, and greedy crash-schedule minimization.
+//!   virtual clock), with replayable `rt1` tokens.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,25 +48,26 @@
 pub mod chaos;
 pub mod cluster;
 pub mod deploy;
+pub mod driver;
 pub mod explorer;
 pub mod probe;
 pub mod proxy;
 pub mod rt;
 pub mod sweep;
+pub mod token;
+pub mod verdict;
 pub mod workload;
 
-pub use chaos::{run_net_token, NetChaosConfig, NetChaosReport, NetSeedToken};
+pub use chaos::{run_net_token, NetChaosConfig, NetChaosReport};
 pub use cluster::{ClusterSpec, Protocol, ProtocolSim};
 pub use deploy::{ChildGuard, ClientSummary, DeliveryLine, DeployRole, DeploySpec, LatencyStats};
-pub use explorer::{
-    explore, generate_schedule, minimize, run_token, ExplorationReport, ExplorerConfig, Finding,
-    ScheduleReport, SeedToken, TokenVersion,
+pub use driver::{
+    explore, minimize, run_token, Engine, ExplorationReport, ExplorerConfig, Finding, RunReport,
 };
+pub use explorer::{generate_schedule, SimEngine};
 pub use probe::{convoy_probe, latency_probe, LatencyProbeResult};
 pub use proxy::{FrameFate, LinkScheduler, NemesisProxy, ProxyStats};
-pub use rt::{
-    explore_rt, generate_rt_plan, minimize_rt, run_rt_token, RtExplorationReport, RtExplorerConfig,
-    RtFinding, RtPlan, RtReport, RtSeedToken,
-};
+pub use rt::{generate_rt_plan, RtEngine, RtPlan};
 pub use sweep::{sweep, BenchRecord, SweepPoint, SweepResult, SweepSpec};
+pub use token::{SeedToken, TokenVersion};
 pub use workload::{run_closed_loop, ClosedLoopWorkload, WorkloadResult};

@@ -67,12 +67,12 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
+use wbam_types::hash::splitmix64;
 use wbam_types::nemesis::{LinkFaults, NemesisPlan};
 use wbam_types::wire::{MAX_FRAME_LEN, PREAMBLE_LEN};
 use wbam_types::{ProcessId, WbamError};
 
 use crate::deploy::DeploySpec;
-use crate::explorer::splitmix64;
 
 /// Salt mixed into per-link seed derivation so link RNG streams are
 /// independent of the plan/workload streams derived from the same seed.

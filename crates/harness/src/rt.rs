@@ -14,50 +14,45 @@
 //!
 //! From one 64-bit seed the module derives a complete experiment — topology,
 //! key-value workload, crash/restart schedule and the scheduler's decision
-//! stream — and checks every run against:
-//!
-//! * the Figure 6 protocol invariants (`wbam_core::invariants`) on the full
-//!   message trace the deterministic transport records (white-box protocol)
-//!   and on the per-process delivery logs (every protocol),
-//! * the key-value store linearizability oracle
-//!   ([`KvHistory::check_excusing`]), and
-//! * a termination check (always for the white-box protocol, whose retry
-//!   machinery recovers from crash-lost mail; for the baselines on their
-//!   crash-free schedules, where the channel transport really is reliable).
+//! stream — and judges every run with the shared
+//! [`verdict`](crate::verdict): the Figure 6 invariants on the full message
+//! trace the deterministic transport records (white-box protocol) and on the
+//! per-process delivery logs (every protocol), the key-value linearizability
+//! oracle, and termination (always for the white-box protocol, whose retry
+//! machinery recovers from crash-lost mail; for the baselines on their
+//! crash-free schedules, where the channel transport really is reliable).
 //!
 //! A failing run is reported as a single `WBAM_SEED=rt1:<protocol>:<seed>`
 //! token; replaying the token reproduces the identical interleaving byte for
-//! byte ([`RtReport::digest`] covers every delivery record *and* the
-//! scheduler's decision trace). The `rt` version namespace is deliberately
-//! distinct from the simulator's `v` tokens and the deployed chaos driver's
-//! `n` tokens: the derivations share nothing, so no corpus can be replayed
-//! under the wrong engine.
+//! byte ([`RunReport::digest`] covers every delivery record *and* the
+//! scheduler's decision trace). The `rt1` version is deliberately distinct
+//! from the simulator's `v` tokens and the deployed chaos driver's `n`
+//! tokens: the derivations share nothing, so no corpus can be replayed under
+//! the wrong engine. [`RtEngine`] plugs the module into the shared
+//! [`driver`](crate::driver) behind the `rt_explorer` binary.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wbam_baselines::common::{BaselineClient, BaselineMsg, BaselineReplica, Mode};
-use wbam_core::invariants::{
-    check_deliver_agreement, check_deliver_local_ts_per_group, check_total_order,
-    check_unique_proposals, SentMessage,
-};
+use wbam_core::invariants::SentMessage;
 use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
-use wbam_kvstore::{KvCommand, KvHistory, KvStore, Partitioner};
+use wbam_kvstore::Partitioner;
 use wbam_runtime::{BoxedNode, DeterministicRuntime, RuntimeDelivery};
-use wbam_types::{AppMessage, ClusterConfig, MsgId, Payload, ProcessId, Timestamp};
+use wbam_simnet::DeliveryRecord;
+use wbam_types::{AppMessage, ClusterConfig, MsgId, Payload, ProcessId};
 
 use crate::cluster::Protocol;
-use crate::explorer::splitmix64;
+use crate::driver::{Engine, ExplorationReport, RunReport};
+use crate::token::{SeedToken, TokenVersion};
+use crate::verdict::{run_digest, RunLog, SubmittedOp};
+use crate::workload::{draw_kv_command, PlannedOp};
 
 /// Virtual-time horizon of one run: the crash window closes by ~7 s, leaving
 /// ample calm for the 2 s client retry fallbacks to converge.
 const HORIZON: Duration = Duration::from_secs(30);
-
-/// Keys the generated workload touches (a small space maximises conflicts).
-const KEY_SPACE: u32 = 6;
 
 /// Salt for the plan RNG, keeping the derivation independent of the
 /// scheduler's decision stream (which splitmix-es the raw seed).
@@ -76,75 +71,6 @@ fn ms(v: u64) -> Duration {
     Duration::from_millis(v)
 }
 
-/// A replayable deterministic-runtime schedule identifier, printed as
-/// `WBAM_SEED=rt1:<protocol>:<seed-hex>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtSeedToken {
-    /// The protocol under test (any of [`Protocol::evaluated`]; the sim-only
-    /// singleton Skeen has no deployed node loop to schedule).
-    pub protocol: Protocol,
-    /// The seed the plan and the scheduler's decisions derive from.
-    pub seed: u64,
-}
-
-impl fmt::Display for RtSeedToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "WBAM_SEED=rt1:{}:{:016x}",
-            self.protocol.label(),
-            self.seed
-        )
-    }
-}
-
-impl RtSeedToken {
-    /// Parses a token previously printed by [`fmt::Display`] (the
-    /// `WBAM_SEED=` prefix is optional on input).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem for malformed tokens, including
-    /// tokens of the other engines (`v*`, `n*`), which must never replay
-    /// here.
-    pub fn parse(s: &str) -> Result<RtSeedToken, String> {
-        let body = s.trim().strip_prefix("WBAM_SEED=").unwrap_or(s.trim());
-        let parts: Vec<&str> = body.split(':').collect();
-        let [version, label, seed_hex] = parts[..] else {
-            return Err(format!("expected rt1:<protocol>:<seed>, got `{body}`"));
-        };
-        if version != "rt1" {
-            return Err(format!(
-                "runtime token version `{version}` not supported (rt1; `v*` tokens \
-                 belong to the simulator explorer, `n*` to the net-chaos driver)"
-            ));
-        }
-        let protocol = match label {
-            "WbCast" => Protocol::WhiteBox,
-            "FastCast" => Protocol::FastCast,
-            "Skeen" => Protocol::FtSkeen,
-            other => {
-                return Err(format!(
-                    "protocol `{other}` has no deployed node loop to schedule \
-                     (WbCast, FastCast, Skeen)"
-                ))
-            }
-        };
-        let seed =
-            u64::from_str_radix(seed_hex, 16).map_err(|e| format!("bad seed `{seed_hex}`: {e}"))?;
-        Ok(RtSeedToken { protocol, seed })
-    }
-}
-
-/// The token of run `index` in a sweep starting at `base_seed` — the same
-/// golden-ratio splitmix derivation the other explorers use.
-pub fn rt_schedule_token(base_seed: u64, index: usize, protocols: &[Protocol]) -> RtSeedToken {
-    RtSeedToken {
-        protocol: protocols[index % protocols.len()],
-        seed: splitmix64(base_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    }
-}
-
 /// One planned crash/restart of a replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtCrash {
@@ -154,17 +80,6 @@ pub struct RtCrash {
     pub node: ProcessId,
     /// How long the replica stays down before restarting.
     pub down_for: Duration,
-}
-
-/// One planned workload operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RtPlannedOp {
-    /// Virtual submission time.
-    pub at: Duration,
-    /// Index of the submitting client.
-    pub client_index: usize,
-    /// The key-value command.
-    pub cmd: KvCommand,
 }
 
 /// A fully generated run plan: topology, workload and crash schedule.
@@ -178,7 +93,7 @@ pub struct RtPlan {
     /// Number of client processes.
     pub num_clients: usize,
     /// The workload.
-    pub ops: Vec<RtPlannedOp>,
+    pub ops: Vec<PlannedOp>,
     /// Replica crash/restart schedule (always empty for the baselines,
     /// which assume reliable channels: mail lost while a process is down
     /// would stall them by design, not by bug).
@@ -191,7 +106,7 @@ pub struct RtPlan {
 /// produces the same plan, and the workload stream is shared across
 /// protocols for a given seed (the crash draws happen either way and are
 /// only *kept* for the white-box protocol).
-pub fn generate_rt_plan(token: &RtSeedToken) -> RtPlan {
+pub fn generate_rt_plan(token: &SeedToken) -> RtPlan {
     let mut rng = StdRng::seed_from_u64(token.seed ^ RT_PLAN_SALT);
 
     // --- Topology -------------------------------------------------------
@@ -229,27 +144,14 @@ pub fn generate_rt_plan(token: &RtSeedToken) -> RtPlan {
     };
 
     // --- Workload -------------------------------------------------------
-    // Same command mix and key space as the simulator explorer.
-    let key = |rng: &mut StdRng| format!("k{}", rng.gen_range(0..KEY_SPACE));
+    // The simulator explorer's command mix and key space.
     let num_ops = rng.gen_range(10..=25usize);
     let mut ops = Vec::with_capacity(num_ops);
     for _ in 0..num_ops {
         let client_index = rng.gen_range(0..num_clients);
         let at = ms(rng.gen_range(0..5000));
-        let cmd = match rng.gen_range(0..100u32) {
-            0..=29 => KvCommand::put(&key(&mut rng), rng.gen_range(0..1000i64)),
-            30..=54 => KvCommand::add(&key(&mut rng), rng.gen_range(-50..50i64)),
-            55..=74 => {
-                let from = key(&mut rng);
-                let mut to = key(&mut rng);
-                while to == from {
-                    to = key(&mut rng);
-                }
-                KvCommand::transfer(&from, &to, rng.gen_range(1..100i64))
-            }
-            _ => KvCommand::get(&key(&mut rng)),
-        };
-        ops.push(RtPlannedOp {
+        let cmd = draw_kv_command(&mut rng);
+        ops.push(PlannedOp {
             at,
             client_index,
             cmd,
@@ -266,66 +168,16 @@ pub fn generate_rt_plan(token: &RtSeedToken) -> RtPlan {
     }
 }
 
-/// The result of running one plan.
-#[derive(Debug, Clone)]
-pub struct RtReport {
-    /// The run's replay token.
-    pub token: RtSeedToken,
-    /// Stable digest of the run: every delivery record in log order plus the
-    /// scheduler's decision-trace digest. Equal digests mean byte-for-byte
-    /// identical interleavings.
-    pub digest: u64,
-    /// Operations submitted.
-    pub ops: usize,
-    /// Operations that completed at their client.
-    pub completed: usize,
-    /// Total delivery records (replica applies + client completions).
-    pub deliveries: usize,
-    /// The first violation found, if any (prefixed with its category:
-    /// `config:`, `invariant:`, `linearizability:` or `termination:`).
-    pub violation: Option<String>,
-}
-
-/// One delivery record in a comparable form, for twin-run equality checks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RtDeliveryRecord {
-    /// The delivering process.
-    pub process: ProcessId,
-    /// The delivered message.
-    pub msg: MsgId,
-    /// The agreed global timestamp (`None` for client completions that
-    /// carry none).
-    pub global_ts: Option<Timestamp>,
-    /// Virtual time of the delivery.
-    pub at: Duration,
-}
-
 /// A report plus the raw observables it was computed from, for tests that
 /// compare two runs element by element rather than by digest.
 #[derive(Debug, Clone)]
 pub struct RtArtifacts {
     /// The checked report.
-    pub report: RtReport,
+    pub report: RunReport,
     /// Every delivery record, in global log order.
-    pub deliveries: Vec<RtDeliveryRecord>,
+    pub deliveries: Vec<DeliveryRecord>,
     /// FNV-1a digest of the scheduler's decision trace alone.
     pub trace_digest: u64,
-}
-
-/// FNV-1a over the run's observable behaviour (the same construction the
-/// simulator explorer uses for its digests).
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
 }
 
 /// What one deterministic run produced, before checking.
@@ -354,7 +206,7 @@ fn drive<M: Clone + Send + 'static>(
 }
 
 fn run_raw(
-    token: &RtSeedToken,
+    token: &SeedToken,
     plan: &RtPlan,
     cluster: &ClusterConfig,
     submissions: Vec<(Duration, ProcessId, AppMessage)>,
@@ -439,40 +291,20 @@ fn run_raw(
     }
 }
 
-/// Runs a generated plan and checks it (used directly by [`minimize_rt`]
-/// with a modified crash list; use [`run_rt_token`] for the canonical plan
-/// of a token).
-pub fn run_rt_plan(token: &RtSeedToken, plan: &RtPlan) -> RtReport {
-    run_rt_artifacts(token, plan).report
-}
-
-/// Like [`run_rt_plan`], also returning the raw delivery records and trace
-/// digest for element-by-element twin-run comparison.
-pub fn run_rt_artifacts(token: &RtSeedToken, plan: &RtPlan) -> RtArtifacts {
-    let mut report = RtReport {
-        token: *token,
-        digest: 0,
-        ops: plan.ops.len(),
-        completed: 0,
-        deliveries: 0,
-        violation: None,
-    };
-
+/// Runs a generated plan (the token's own, or one the minimizer shrank)
+/// and judges it, also returning the raw delivery records and trace digest
+/// for element-by-element twin-run comparison.
+pub fn run_rt_artifacts(token: &SeedToken, plan: &RtPlan) -> RtArtifacts {
     let cluster = ClusterConfig::builder()
         .groups(plan.num_groups, plan.group_size)
         .clients(plan.num_clients)
         .build();
     let partitioner = Partitioner::new(plan.num_groups as u32);
-    let mut history = KvHistory {
-        partitions: plan.num_groups as u32,
-        ..KvHistory::default()
-    };
 
-    // Build the submission stream: one AppMessage per op, ids unique per
-    // client, invocation recorded in the oracle history.
+    // One AppMessage per op, ids unique per client.
     let mut next_seq: BTreeMap<ProcessId, u64> = BTreeMap::new();
     let mut submissions = Vec::with_capacity(plan.ops.len());
-    let mut op_cmds: BTreeMap<MsgId, &KvCommand> = BTreeMap::new();
+    let mut ops = Vec::with_capacity(plan.ops.len());
     for op in &plan.ops {
         let client = cluster.clients()[op.client_index % cluster.clients().len()];
         let seq = next_seq.entry(client).or_insert(0);
@@ -487,302 +319,171 @@ pub fn run_rt_artifacts(token: &RtSeedToken, plan: &RtPlan) -> RtArtifacts {
             client,
             AppMessage::new(id, dest, Payload::from(payload)),
         ));
-        history.invoke(id, op.cmd.clone(), op.at);
-        op_cmds.insert(id, &op.cmd);
+        ops.push(SubmittedOp {
+            id,
+            cmd: op.cmd.clone(),
+            at: op.at,
+        });
     }
 
     let raw = match run_raw(token, plan, &cluster, submissions) {
         Ok(raw) => raw,
         Err(e) => {
-            report.violation = Some(format!("config: {e}"));
             return RtArtifacts {
-                report,
+                report: RunReport::unbuildable(*token, ops.len(), e),
                 deliveries: Vec::new(),
                 trace_digest: 0,
-            };
+            }
         }
     };
-    report.deliveries = raw.deliveries.len();
-
-    // Digest: every delivery record in log order, then the scheduler trace.
-    let mut digest = Digest::new();
-    let mut records = Vec::with_capacity(raw.deliveries.len());
-    for d in &raw.deliveries {
-        digest.write(d.elapsed.as_nanos() as u64);
-        digest.write(u64::from(d.process.0));
-        digest.write(u64::from(d.delivery.msg.id.sender.0));
-        digest.write(d.delivery.msg.id.seq);
-        let gts = d.delivery.global_ts.unwrap_or(Timestamp::BOTTOM);
-        digest.write(gts.time());
-        digest.write(gts.group().map(|g| u64::from(g.0) + 1).unwrap_or(0));
-        records.push(RtDeliveryRecord {
+    let deliveries: Vec<DeliveryRecord> = raw
+        .deliveries
+        .iter()
+        .map(|d| DeliveryRecord {
+            time: d.elapsed,
             process: d.process,
-            msg: d.delivery.msg.id,
+            group: cluster.group_of(d.process),
+            msg_id: d.delivery.msg.id,
             global_ts: d.delivery.global_ts,
-            at: d.elapsed,
-        });
+        })
+        .collect();
+    let verdict = RunLog {
+        cluster: &cluster,
+        ops: &ops,
+        deliveries: &deliveries,
+        trace: raw.whitebox_trace.as_deref(),
+        // The channel transport is reliable; the only loss is mail
+        // addressed to a down process, so only crashed replicas may carry
+        // gaps or truncated suffixes.
+        faulty: plan.crashes.iter().map(|c| c.node).collect(),
+        lossy: false,
+        excusals: BTreeMap::new(),
+        drop_excusals: BTreeMap::new(),
+        // The white-box retry machinery recovers crash-lost mail; the
+        // baselines only run crash-free plans, where nothing is ever lost.
+        require_termination: true,
     }
-    digest.write(raw.trace_digest);
-    report.digest = digest.0;
-
-    // --- Figure 6 invariants (white-box message trace) ------------------
-    if let Some(trace) = &raw.whitebox_trace {
-        let result = check_unique_proposals(trace)
-            .and_then(|()| check_deliver_agreement(trace))
-            .and_then(|()| check_deliver_local_ts_per_group(trace, |p| cluster.group_of(p)));
-        if let Err(v) = result {
-            report.violation = Some(format!("invariant: {v}"));
-            return RtArtifacts {
-                report,
-                deliveries: records,
-                trace_digest: raw.trace_digest,
-            };
-        }
-    }
-
-    // --- Delivery-log invariants (all protocols) ------------------------
-    let mut per_process: BTreeMap<ProcessId, Vec<(MsgId, Timestamp)>> = BTreeMap::new();
-    let mut violation = None;
-    for d in &raw.deliveries {
-        if cluster.group_of(d.process).is_some() {
-            let Some(gts) = d.delivery.global_ts else {
-                violation = Some(format!(
-                    "invariant: {} delivered {} without a global timestamp",
-                    d.process, d.delivery.msg.id
-                ));
-                break;
-            };
-            per_process
-                .entry(d.process)
-                .or_default()
-                .push((d.delivery.msg.id, gts));
-        }
-    }
-    if violation.is_none() {
-        if let Err(v) = check_total_order(&per_process) {
-            violation = Some(format!("invariant: {v}"));
-        }
-    }
-
-    // --- Linearizability oracle -----------------------------------------
-    if violation.is_none() {
-        let mut replica_stores: BTreeMap<ProcessId, KvStore> = BTreeMap::new();
-        for d in &raw.deliveries {
-            match cluster.group_of(d.process) {
-                None => {
-                    history.complete(d.delivery.msg.id, d.elapsed);
-                }
-                Some(group) => {
-                    let Some(cmd) = op_cmds.get(&d.delivery.msg.id) else {
-                        violation = Some(format!(
-                            "invariant: {} delivered {} which was never submitted",
-                            d.process, d.delivery.msg.id
-                        ));
-                        break;
-                    };
-                    let gts = d
-                        .delivery
-                        .global_ts
-                        .expect("replica deliveries checked above");
-                    let store = replica_stores
-                        .entry(d.process)
-                        .or_insert_with(|| KvStore::with_partitioner(group, partitioner));
-                    let read = store.apply_read(cmd);
-                    history.applied(d.delivery.msg.id, d.process, group, gts, read);
-                }
-            }
-        }
-        report.completed = history
-            .ops
-            .iter()
-            .filter(|o| o.completed_at.is_some())
-            .count();
-        if violation.is_none() {
-            // The channel transport is reliable; the only loss is mail
-            // addressed to a down process, so only crashed replicas may
-            // carry gaps or truncated suffixes.
-            let faulty: BTreeSet<ProcessId> = plan.crashes.iter().map(|c| c.node).collect();
-            if let Err(v) =
-                history.check_excusing(&faulty, false, &BTreeMap::new(), &BTreeMap::new())
-            {
-                violation = Some(format!("linearizability: {v}"));
-            }
-        }
-    }
-
-    // --- Termination ------------------------------------------------------
-    // The white-box retry machinery recovers crash-lost mail; the baselines
-    // only run crash-free plans, where nothing is ever lost.
-    if violation.is_none() {
-        let undelivered: Vec<MsgId> = history
-            .ops
-            .iter()
-            .filter(|o| o.completed_at.is_none())
-            .map(|o| o.id)
-            .collect();
-        if !undelivered.is_empty() {
-            violation = Some(format!(
-                "termination: {} of {} operations never completed (first: {})",
-                undelivered.len(),
-                plan.ops.len(),
-                undelivered[0]
-            ));
-        }
-    }
-
-    report.violation = violation;
+    .judge();
     RtArtifacts {
-        report,
-        deliveries: records,
+        report: RunReport::checked(
+            *token,
+            ops.len(),
+            deliveries.len(),
+            run_digest(&deliveries, raw.trace_digest),
+            verdict,
+        ),
+        deliveries,
         trace_digest: raw.trace_digest,
     }
 }
 
-/// Runs the canonical plan of a token.
-pub fn run_rt_token(token: &RtSeedToken) -> RtReport {
-    let plan = generate_rt_plan(token);
-    run_rt_plan(token, &plan)
-}
+/// The deterministic-runtime engine: `rt1` tokens, [`RtPlan`] plans whose
+/// shrink points are the crashes.
+#[derive(Debug, Clone, Copy)]
+pub struct RtEngine;
 
-/// Greedily minimizes the crash schedule of a failing run: repeatedly
-/// removes individual crashes, keeping each removal whose run still fails.
-/// Returns the smallest still-failing crash list.
-pub fn minimize_rt(token: &RtSeedToken) -> Vec<RtCrash> {
-    let base = generate_rt_plan(token);
-    let still_fails = |crashes: &[RtCrash]| -> bool {
-        let mut plan = base.clone();
-        plan.crashes = crashes.to_vec();
-        run_rt_plan(token, &plan).violation.is_some()
-    };
-    let mut crashes = base.crashes.clone();
-    loop {
-        let mut changed = false;
-        for idx in (0..crashes.len()).rev() {
-            let mut candidate = crashes.clone();
-            candidate.remove(idx);
-            if still_fails(&candidate) {
-                crashes = candidate;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
+impl Engine for RtEngine {
+    type Plan = RtPlan;
+
+    const VERSION: TokenVersion = TokenVersion::Rt1;
+    const REPLAYS: &'static [TokenVersion] = &[TokenVersion::Rt1];
+    const BIN: &'static str = "rt_explorer";
+    const RUNS: &'static str = "deployed-loop interleavings";
+    const CLEAN: &'static str =
+        "no violations: Figure 6 invariants, the linearizability oracle and \
+                                 termination held on every interleaving";
+    const FAILING: &'static str = "FAILING INTERLEAVING";
+
+    fn generate(token: &SeedToken) -> RtPlan {
+        generate_rt_plan(token)
     }
-    crashes
-}
 
-/// A failing run, with its minimized crash schedule.
-#[derive(Debug, Clone)]
-pub struct RtFinding {
-    /// Replay token reproducing the failure.
-    pub token: RtSeedToken,
-    /// The violation.
-    pub description: String,
-    /// The greedily minimized crash list (still failing), if minimization
-    /// was enabled.
-    pub minimized_crashes: Option<Vec<RtCrash>>,
-}
-
-/// Aggregate results of a deterministic-runtime exploration.
-#[derive(Debug, Clone, Default)]
-pub struct RtExplorationReport {
-    /// Runs executed.
-    pub schedules: usize,
-    /// Failing runs.
-    pub findings: Vec<RtFinding>,
-    /// Total operations submitted.
-    pub total_ops: usize,
-    /// Total operations completed.
-    pub total_completed: usize,
-    /// Total crashes scheduled.
-    pub crashes: usize,
-}
-
-/// Configuration of an exploration sweep.
-#[derive(Debug, Clone)]
-pub struct RtExplorerConfig {
-    /// Number of runs; run `i` uses `protocols[i % protocols.len()]` with a
-    /// seed derived from `base_seed` and `i`.
-    pub schedules: usize,
-    /// Base seed.
-    pub base_seed: u64,
-    /// Protocols to rotate through.
-    pub protocols: Vec<Protocol>,
-    /// Minimize the crash schedule of failing runs before reporting.
-    pub minimize: bool,
-}
-
-impl Default for RtExplorerConfig {
-    fn default() -> Self {
-        RtExplorerConfig {
-            schedules: 60,
-            base_seed: 42,
-            protocols: Protocol::evaluated().to_vec(),
-            minimize: true,
-        }
+    fn run(token: &SeedToken, plan: &RtPlan) -> RunReport {
+        run_rt_artifacts(token, plan).report
     }
-}
 
-/// Runs an exploration sweep, collecting findings (with minimized crash
-/// schedules) and aggregate statistics.
-pub fn explore_rt(config: &RtExplorerConfig) -> RtExplorationReport {
-    let mut report = RtExplorationReport::default();
-    for index in 0..config.schedules {
-        let token = rt_schedule_token(config.base_seed, index, &config.protocols);
-        let plan = generate_rt_plan(&token);
-        report.crashes += plan.crashes.len();
-        let run = run_rt_plan(&token, &plan);
-        report.schedules += 1;
-        report.total_ops += run.ops;
-        report.total_completed += run.completed;
-        if let Some(description) = run.violation {
-            let minimized_crashes = config.minimize.then(|| minimize_rt(&token));
-            report.findings.push(RtFinding {
-                token,
-                description,
-                minimized_crashes,
-            });
-        }
+    fn faults(plan: &RtPlan) -> (usize, usize) {
+        (plan.crashes.len(), 0)
     }
-    report
+
+    fn shrink_points(plan: &RtPlan) -> usize {
+        plan.crashes.len()
+    }
+
+    fn shrink(plan: &RtPlan, point: usize) -> Option<RtPlan> {
+        let mut shrunk = plan.clone();
+        shrunk.crashes.remove(point);
+        Some(shrunk)
+    }
+
+    fn describe(plan: &RtPlan) -> Vec<String> {
+        let mut lines = vec![format!(
+            "cluster: {} groups x {} replicas, {} clients, {} ops, {} crash/restart(s)",
+            plan.num_groups,
+            plan.group_size,
+            plan.num_clients,
+            plan.ops.len(),
+            plan.crashes.len(),
+        )];
+        for crash in &plan.crashes {
+            lines.push(format!(
+                "crash: {} at {:?} for {:?}",
+                crash.node, crash.at, crash.down_for
+            ));
+        }
+        lines
+    }
+
+    fn outcome(report: &RunReport) -> String {
+        format!(
+            "digest {:016x}; {}/{} ops completed, {} deliveries",
+            report.digest, report.completed, report.ops, report.deliveries,
+        )
+    }
+
+    fn fault_summary(report: &ExplorationReport<RtPlan>) -> String {
+        format!("{} crash/restarts scheduled", report.crashes)
+    }
+
+    fn minimized(plan: &RtPlan) -> String {
+        format!("minimized crash schedule: {:?}", plan.crashes)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{explore, ExplorerConfig};
+    use crate::token::{assert_tokens_round_trip, TokenVersion};
 
     #[test]
     fn tokens_round_trip_through_display_and_parse() {
-        for protocol in Protocol::evaluated() {
-            let token = RtSeedToken {
-                protocol,
-                seed: 0xdead_beef_1234_5678,
-            };
-            let s = token.to_string();
-            assert!(s.starts_with("WBAM_SEED=rt1:"));
-            assert_eq!(RtSeedToken::parse(&s).unwrap(), token);
-            let bare = s.strip_prefix("WBAM_SEED=").unwrap();
-            assert_eq!(RtSeedToken::parse(bare).unwrap(), token);
-        }
         // Other engines' tokens and the sim-only protocol are rejected.
-        assert!(RtSeedToken::parse("v2:WbCast:1").is_err());
-        assert!(RtSeedToken::parse("n1:WbCast:1").is_err());
-        assert!(RtSeedToken::parse("rt1:Skeen1:1").is_err());
-        assert!(RtSeedToken::parse("rt1:WbCast:zz").is_err());
+        assert_tokens_round_trip(
+            TokenVersion::Rt1,
+            "WBAM_SEED=rt1:",
+            &Protocol::evaluated(),
+            &[
+                "v2:WbCast:1",
+                "n1:WbCast:1",
+                "rt1:Skeen1:1",
+                "rt1:WbCast:zz",
+            ],
+        );
     }
 
     #[test]
     fn plans_are_deterministic_and_share_the_workload_across_protocols() {
         let seed = 7u64;
-        let wb = RtSeedToken {
+        let wb = SeedToken {
+            version: TokenVersion::Rt1,
             protocol: Protocol::WhiteBox,
             seed,
         };
         assert_eq!(generate_rt_plan(&wb), generate_rt_plan(&wb));
-        let fc = generate_rt_plan(&RtSeedToken {
+        let fc = generate_rt_plan(&SeedToken {
             protocol: Protocol::FastCast,
-            seed,
+            ..wb
         });
         let wb_plan = generate_rt_plan(&wb);
         assert_eq!(wb_plan.ops, fc.ops, "op stream must not shift per protocol");
@@ -791,7 +492,7 @@ mod tests {
 
     #[test]
     fn replaying_a_token_reproduces_the_run_byte_for_byte() {
-        let token = rt_schedule_token(1, 0, &Protocol::evaluated());
+        let token = SeedToken::sweep(TokenVersion::Rt1, 1, 0, &Protocol::evaluated());
         let plan = generate_rt_plan(&token);
         let a = run_rt_artifacts(&token, &plan);
         let b = run_rt_artifacts(&token, &plan);
@@ -803,7 +504,7 @@ mod tests {
 
     #[test]
     fn a_small_rt_exploration_passes_cleanly() {
-        let report = explore_rt(&RtExplorerConfig {
+        let report = explore::<RtEngine>(&ExplorerConfig {
             schedules: 3,
             base_seed: 3,
             protocols: Protocol::evaluated().to_vec(),

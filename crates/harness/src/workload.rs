@@ -1,4 +1,5 @@
-//! Closed-loop client workloads.
+//! Client workloads: closed-loop multicast load, and the seeded key-value
+//! command mix the explorers and the chaos driver draw from.
 //!
 //! The paper's evaluation (§VI) uses closed-loop clients: every client has at
 //! most one multicast outstanding and submits the next one as soon as the
@@ -10,8 +11,9 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use wbam_kvstore::KvCommand;
 use wbam_simnet::{LatencyStats, ThroughputStats};
 use wbam_types::GroupId;
 
@@ -120,6 +122,44 @@ pub fn run_closed_loop(sim: &mut ProtocolSim, workload: &ClosedLoopWorkload) -> 
         throughput,
         protocol_messages: sim.stats().messages_sent,
         submitted,
+    }
+}
+
+/// One planned operation of a seeded key-value workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlannedOp {
+    /// Submission time.
+    pub at: Duration,
+    /// Index of the submitting client.
+    pub client_index: usize,
+    /// The key-value command.
+    pub cmd: KvCommand,
+}
+
+/// Keys the seeded key-value workloads touch (a small space maximises
+/// conflicts).
+const KV_KEY_SPACE: u32 = 6;
+
+/// Draws one key-value command for the seeded explorers and the chaos
+/// driver: 30% puts, 25% adds, 20% transfers between two distinct keys and
+/// 25% gets, over six keys `k0`–`k5`.
+///
+/// Every replay token pins this exact draw sequence, so changing it changes
+/// what every token means.
+pub(crate) fn draw_kv_command(rng: &mut StdRng) -> KvCommand {
+    let key = |rng: &mut StdRng| format!("k{}", rng.gen_range(0..KV_KEY_SPACE));
+    match rng.gen_range(0..100u32) {
+        0..=29 => KvCommand::put(&key(rng), rng.gen_range(0..1000i64)),
+        30..=54 => KvCommand::add(&key(rng), rng.gen_range(-50..50i64)),
+        55..=74 => {
+            let from = key(rng);
+            let mut to = key(rng);
+            while to == from {
+                to = key(rng);
+            }
+            KvCommand::transfer(&from, &to, rng.gen_range(1..100i64))
+        }
+        _ => KvCommand::get(&key(rng)),
     }
 }
 

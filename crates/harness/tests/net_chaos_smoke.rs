@@ -11,11 +11,15 @@
 use std::path::PathBuf;
 
 use wbam_harness::chaos::generate_net_plan;
-use wbam_harness::{run_net_token, NetChaosConfig, NetSeedToken};
+use wbam_harness::{run_net_token, NetChaosConfig, SeedToken, TokenVersion};
 
 #[test]
 fn seeded_chaos_run_passes_all_checks_and_replays_its_plan() {
-    let token = NetSeedToken::parse("WBAM_NET_SEED=n1:WbCast:000000000000002a").expect("token");
+    let token = SeedToken::parse(
+        "WBAM_NET_SEED=n1:WbCast:000000000000002a",
+        &[TokenVersion::N1],
+    )
+    .expect("token");
     let config = NetChaosConfig {
         messages: Some(10),
         wbamd: Some(PathBuf::from(env!("CARGO_BIN_EXE_wbamd"))),

@@ -43,6 +43,7 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
+use wbam_types::hash::Fnv64;
 use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload, ProcessId, WbamError};
 
 /// Maps keys to partitions (groups) by hashing.
@@ -330,21 +331,15 @@ impl KvStore {
     /// by the checkpoint round-trip property tests.
     pub fn digest(&self) -> u64 {
         // FNV-1a over a canonical rendering of the state.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut write = |bytes: &[u8]| {
-            for b in bytes {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        write(&self.group.0.to_le_bytes());
-        write(&self.applied.to_le_bytes());
+        let mut hash = Fnv64::new();
+        hash.write(&self.group.0.to_le_bytes());
+        hash.write(&self.applied.to_le_bytes());
         for (k, v) in &self.data {
-            write(k.as_bytes());
-            write(&[0xff]);
-            write(&v.to_le_bytes());
+            hash.write(k.as_bytes());
+            hash.write(&[0xff]);
+            hash.write(&v.to_le_bytes());
         }
-        hash
+        hash.finish()
     }
 
     fn owns(&self, key: &str) -> bool {

@@ -24,6 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crossbeam_channel::{unbounded, Sender};
+use wbam_types::hash::{splitmix64, Fnv64, GOLDEN_GAMMA};
 use wbam_types::{AppMessage, ProcessId};
 
 use crate::clock::{Clock, VirtualClock};
@@ -44,14 +45,6 @@ const BIG_BURST_ONE_IN: u64 = 10;
 /// Safety cap on scheduler steps per [`DeterministicRuntime::run`] call, far
 /// above what any horizon-bounded run needs.
 const MAX_STEPS: usize = 2_000_000;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A message the deterministic transport carried, recorded for white-box
 /// trace checks (the harness converts these to
@@ -358,7 +351,9 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
     }
 
     fn next_u64(&mut self) -> u64 {
-        splitmix64(&mut self.rng)
+        let out = splitmix64(self.rng);
+        self.rng = self.rng.wrapping_add(GOLDEN_GAMMA);
+        out
     }
 
     /// The earliest future wake-up: the next scripted event or the next live
@@ -540,7 +535,7 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
     /// FNV-1a digest of the decision log: two runs scheduled identically
     /// have equal digests (compare full traces for the strong check).
     pub fn trace_digest(&self) -> u64 {
-        let mut d = Digest::new();
+        let mut d = Fnv64::new();
         for ev in &self.trace {
             match ev {
                 TraceEvent::Deliver { node, consumed, at } => {
@@ -576,25 +571,6 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
             }
         }
         d.finish()
-    }
-}
-
-/// FNV-1a, the same construction the harness explorers use for seed-token
-/// digests.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -15,6 +15,8 @@
 //!   groups of `2f + 1` processes each.
 //! * [`Event`], [`Action`], [`Node`] — the sans-IO protocol interface shared by
 //!   the simulator (`wbam-simnet`) and the real runtime.
+//! * [`hash`] — the FNV-1a digest and SplitMix64 seed mixer every replay
+//!   token and golden digest is built from.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod error;
 pub mod event;
+pub mod hash;
 pub mod ids;
 pub mod message;
 pub mod nemesis;

@@ -4,20 +4,16 @@
 //! Every token in the corpus once reproduced a real bug (see the comments in
 //! the corpus file); replaying them on every test run keeps those bugs fixed.
 
-use wbam_harness::explorer::{run_token, SeedToken};
+use wbam_harness::{run_token, Engine, SeedToken, SimEngine};
 
-/// Parses the corpus file, skipping comments and blank lines.
+/// The corpus file's tokens.
 fn corpus() -> Vec<SeedToken> {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/regressions/corpus.tokens"
     );
     let text = std::fs::read_to_string(path).expect("corpus file exists");
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| SeedToken::parse(l).unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}")))
-        .collect()
+    SeedToken::parse_corpus(&text, SimEngine::REPLAYS).expect("corpus tokens parse")
 }
 
 #[test]
@@ -26,7 +22,7 @@ fn regression_corpus_replays_clean() {
     assert!(!tokens.is_empty(), "corpus must not be empty");
     let mut failures = Vec::new();
     for token in &tokens {
-        let report = run_token(token);
+        let report = run_token::<SimEngine>(token);
         if let Some(violation) = report.violation {
             failures.push(format!("{token}: {violation}"));
         }
@@ -50,8 +46,8 @@ fn corpus_tokens_replay_byte_for_byte() {
         if !seen.insert(token.protocol.label()) {
             continue;
         }
-        let first = run_token(&token);
-        let second = run_token(&token);
+        let first = run_token::<SimEngine>(&token);
+        let second = run_token::<SimEngine>(&token);
         assert_eq!(
             first.digest, second.digest,
             "{token} did not replay deterministically"

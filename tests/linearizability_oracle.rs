@@ -8,8 +8,9 @@
 //! direction (no false positives on healthy end-to-end runs).
 
 use proptest::prelude::*;
-use wbam_harness::explorer::{generate_schedule, run_generated, SeedToken, TokenVersion};
+use wbam_harness::explorer::{generate_schedule, run_generated};
 use wbam_harness::Protocol;
+use wbam_harness::{SeedToken, TokenVersion};
 use wbam_types::NemesisPlan;
 
 fn run_fault_free(protocol: Protocol, seed: u64) {

@@ -18,9 +18,8 @@
 
 use std::collections::BTreeMap;
 
-use wbam_harness::chaos::{generate_net_plan, net_schedule_token};
-use wbam_harness::explorer::{run_token, SeedToken};
-use wbam_harness::rt::{run_rt_token, RtSeedToken};
+use wbam_harness::chaos::generate_net_plan;
+use wbam_harness::{run_token, Engine, Protocol, RtEngine, SeedToken, SimEngine, TokenVersion};
 
 fn read(name: &str) -> String {
     let path = format!("{}/tests/regressions/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -35,28 +34,30 @@ fn entries(text: &str) -> impl Iterator<Item = &str> {
 }
 
 /// A token's printed form without its `WBAM_*SEED=` prefix.
-fn bare(printed: String) -> String {
-    match printed.split_once('=') {
-        Some((_, body)) => body.to_string(),
-        None => printed,
+fn bare(token: &SeedToken) -> String {
+    let printed = token.to_string();
+    printed
+        .split_once('=')
+        .map_or(printed.clone(), |(_, body)| body.to_string())
+}
+
+/// The run digest of every token of a corpus file.
+fn corpus_digests<E: Engine>(file: &str, out: &mut BTreeMap<String, u64>) {
+    let tokens = SeedToken::parse_corpus(&read(file), E::REPLAYS).expect("corpus tokens parse");
+    for token in tokens {
+        out.insert(bare(&token), run_token::<E>(&token).digest);
     }
 }
 
 /// Every pinned key with the digest this build computes for it.
 fn computed() -> BTreeMap<String, u64> {
     let mut out = BTreeMap::new();
-    for line in entries(&read("corpus.tokens")) {
-        let token = SeedToken::parse(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
-        out.insert(bare(token.to_string()), run_token(&token).digest);
-    }
-    for line in entries(&read("rt_corpus.tokens")) {
-        let token = RtSeedToken::parse(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
-        out.insert(bare(token.to_string()), run_rt_token(&token).digest);
-    }
+    corpus_digests::<SimEngine>("corpus.tokens", &mut out);
+    corpus_digests::<RtEngine>("rt_corpus.tokens", &mut out);
     for index in 0..6 {
-        let token = net_schedule_token(42, index);
+        let token = SeedToken::sweep(TokenVersion::N1, 42, index, &[Protocol::WhiteBox]);
         for messages in [Some(24), None] {
-            let mut key = bare(token.to_string());
+            let mut key = bare(&token);
             if let Some(m) = messages {
                 key.push_str(&format!("@{m}"));
             }
@@ -93,7 +94,9 @@ fn replay_digests_match_the_golden_file() {
         }
     }
     for key in golden.keys() {
-        problems.push(format!("golden key {key} is no longer derived by this test"));
+        problems.push(format!(
+            "golden key {key} is no longer derived by this test"
+        ));
     }
     assert!(
         problems.is_empty(),

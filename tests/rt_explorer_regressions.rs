@@ -9,21 +9,17 @@
 //! those bugs fixed at the layer they were found.
 
 use proptest::prelude::*;
-use wbam::harness::rt::{generate_rt_plan, run_rt_artifacts, run_rt_token, RtSeedToken};
-use wbam::harness::Protocol;
+use wbam::harness::rt::{generate_rt_plan, run_rt_artifacts};
+use wbam::harness::{run_token, Engine, Protocol, RtEngine, SeedToken, TokenVersion};
 
-/// Parses the corpus file, skipping comments and blank lines.
-fn corpus() -> Vec<RtSeedToken> {
+/// The corpus file's tokens.
+fn corpus() -> Vec<SeedToken> {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/regressions/rt_corpus.tokens"
     );
     let text = std::fs::read_to_string(path).expect("corpus file exists");
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| RtSeedToken::parse(l).unwrap_or_else(|e| panic!("bad corpus token `{l}`: {e}")))
-        .collect()
+    SeedToken::parse_corpus(&text, RtEngine::REPLAYS).expect("corpus tokens parse")
 }
 
 #[test]
@@ -32,7 +28,7 @@ fn rt_regression_corpus_replays_clean() {
     assert!(!tokens.is_empty(), "corpus must not be empty");
     let mut failures = Vec::new();
     for token in &tokens {
-        let report = run_rt_token(token);
+        let report = run_token::<RtEngine>(token);
         if let Some(violation) = report.violation {
             failures.push(format!("{token}: {violation}"));
         }
@@ -86,7 +82,8 @@ proptest! {
     /// hypothetical future failing seed, or its token would be unreplayable.
     #[test]
     fn rt_tokens_are_deterministic(seed in 0u64..u64::MAX, proto in 0usize..3) {
-        let token = RtSeedToken {
+        let token = SeedToken {
+            version: TokenVersion::Rt1,
             protocol: Protocol::evaluated()[proto],
             seed,
         };
