@@ -22,8 +22,7 @@
 //! POSIX, and the handful of constants baked in below are identical across
 //! the Unixes this workspace builds on (Linux values, with the Darwin/BSD
 //! `O_NONBLOCK` difference handled explicitly). On non-Unix targets the
-//! crate compiles to nothing and the transport falls back to its portable
-//! spin-then-park loop.
+//! crate compiles to nothing, which is why deployment is Unix-only.
 //!
 //! The API is safe: all `unsafe` is contained in this crate, behind
 //! bounds-checked wrappers, so consumers keep their `#![forbid(unsafe_code)]`.

@@ -288,6 +288,7 @@ fn main() {
             max_batch: cfg.max_batch,
             clients: 1,
             dest_groups: cfg.dest_groups,
+            outstanding: Some(cfg.outstanding),
             throughput_msg_s: summary.throughput_msg_s,
             latency_p50_ms: summary.latency_p50_ms,
             latency_p99_ms: summary.latency_p99_ms,

@@ -297,34 +297,6 @@ enum NetEvent {
     Cont(u32),
 }
 
-/// Signals the driver sends; a thin portability wrapper so non-Unix builds
-/// degrade to SIGKILL-only semantics instead of failing to compile.
-#[derive(Debug, Clone, Copy)]
-enum Sig {
-    Term,
-    Stop,
-    Cont,
-}
-
-/// Sends `sig` to `pid`; returns whether the signal was actually delivered
-/// (always `false` off-Unix, where callers fall back to hard kills).
-fn send(pid: u32, sig: Sig) -> bool {
-    #[cfg(unix)]
-    {
-        let sig = match sig {
-            Sig::Term => netpoll::Signal::Term,
-            Sig::Stop => netpoll::Signal::Stop,
-            Sig::Cont => netpoll::Signal::Cont,
-        };
-        netpoll::send_signal(pid, sig).is_ok()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (pid, sig);
-        false
-    }
-}
-
 fn build_events(plan: &NetChaosPlan) -> Vec<(Duration, NetEvent)> {
     let mut events = Vec::new();
     for c in &plan.nemesis.crashes {
@@ -529,12 +501,12 @@ pub fn run_net_token(
                 }
                 NetEvent::Stop(id) => {
                     if let Some(child) = children.get(&id) {
-                        send(child.0.id(), Sig::Stop);
+                        let _ = netpoll::send_signal(child.0.id(), netpoll::Signal::Stop);
                     }
                 }
                 NetEvent::Cont(id) => {
                     if let Some(child) = children.get(&id) {
-                        send(child.0.id(), Sig::Cont);
+                        let _ = netpoll::send_signal(child.0.id(), netpoll::Signal::Cont);
                     }
                 }
             }
@@ -645,7 +617,7 @@ pub fn run_net_token(
     // graceful-stop path is part of every chaos run's contract.
     let mut stop_violation: Option<String> = None;
     for child in children.values() {
-        send(child.0.id(), Sig::Term);
+        let _ = netpoll::send_signal(child.0.id(), netpoll::Signal::Term);
     }
     for (id, child) in children.iter_mut() {
         let begin = Instant::now();

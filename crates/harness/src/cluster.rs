@@ -49,6 +49,16 @@ impl Protocol {
         .find(|p| p.label() == label)
     }
 
+    /// The [`Mode`] a [`BaselineReplica`] runs for this protocol; `None` for
+    /// the protocols that are not consensus-based baselines.
+    pub fn baseline_mode(self) -> Option<Mode> {
+        match self {
+            Protocol::FastCast => Some(Mode::FastCast),
+            Protocol::FtSkeen => Some(Mode::FtSkeen),
+            Protocol::WhiteBox | Protocol::Skeen => None,
+        }
+    }
+
     /// All fault-tolerant protocols compared in Figures 7 and 8.
     pub fn evaluated() -> [Protocol; 3] {
         [Protocol::WhiteBox, Protocol::FastCast, Protocol::FtSkeen]
@@ -191,29 +201,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Returns the spec with a fault schedule: the simulation executes the
-    /// plan's crashes/restarts and leader nudges and applies its link faults,
-    /// partitions and timer jitter throughout the run.
-    pub fn with_nemesis(mut self, nemesis: NemesisPlan) -> Self {
-        self.nemesis = nemesis;
-        self
-    }
-
-    /// Returns the spec with protocol-trace recording enabled (required by
-    /// the Figure 6 invariant checkers; see [`ProtocolSim::whitebox_trace`]).
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
-    /// Returns the spec with the white-box replicas' built-in
-    /// heartbeat/election oracle enabled (see
-    /// [`auto_election`](Self::auto_election)).
-    pub fn with_auto_election(mut self) -> Self {
-        self.auto_election = true;
-        self
-    }
-
     /// Builds the corresponding static cluster configuration.
     pub fn cluster_config(&self) -> ClusterConfig {
         let mut b = ClusterConfig::builder()
@@ -323,11 +310,7 @@ impl ProtocolSim {
                 SimInner::WhiteBox(sim)
             }
             Protocol::FastCast | Protocol::FtSkeen => {
-                let mode = if protocol == Protocol::FastCast {
-                    Mode::FastCast
-                } else {
-                    Mode::FtSkeen
-                };
+                let mode = protocol.baseline_mode().expect("a baseline protocol");
                 let mut sim = Simulation::new(sim_config);
                 for gc in cluster.groups() {
                     for member in gc.members() {

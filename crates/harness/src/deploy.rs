@@ -40,7 +40,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use wbam_baselines::common::{BaselineClient, BaselineReplica, Mode};
+use wbam_baselines::common::{BaselineClient, BaselineReplica};
 use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
 use wbam_types::wire::{from_json, to_json, WireCodec};
 use wbam_types::{ClusterConfig, GroupId, ProcessId, Timestamp, WbamError};
@@ -440,16 +440,10 @@ impl DeploySpec {
         let DeployRole::Replica(group) = self.role_of(id)? else {
             return Err(WbamError::UnknownProcess(id));
         };
-        let mode = match self.protocol()? {
-            Protocol::FastCast => Mode::FastCast,
-            Protocol::FtSkeen => Mode::FtSkeen,
-            other => {
-                return Err(WbamError::Codec(format!(
-                    "{} is not a baseline protocol",
-                    other.label()
-                )))
-            }
-        };
+        let protocol = self.protocol()?;
+        let mode = protocol.baseline_mode().ok_or_else(|| {
+            WbamError::Codec(format!("{} is not a baseline protocol", protocol.label()))
+        })?;
         Ok(
             BaselineReplica::try_new(id, group, self.cluster_config(), mode)?
                 .with_batching(self.max_batch, self.batch_delay())

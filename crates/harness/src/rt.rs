@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wbam_baselines::common::{BaselineClient, BaselineMsg, BaselineReplica, Mode};
+use wbam_baselines::common::{BaselineClient, BaselineMsg, BaselineReplica};
 use wbam_core::invariants::SentMessage;
 use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
 use wbam_kvstore::Partitioner;
@@ -252,11 +252,7 @@ fn run_raw(
             })
         }
         Protocol::FastCast | Protocol::FtSkeen => {
-            let mode = if token.protocol == Protocol::FastCast {
-                Mode::FastCast
-            } else {
-                Mode::FtSkeen
-            };
+            let mode = token.protocol.baseline_mode().expect("a baseline protocol");
             let mut nodes: Vec<BoxedNode<BaselineMsg>> = Vec::new();
             for gc in cluster.groups() {
                 for member in gc.members() {

@@ -98,6 +98,7 @@ impl SweepPoint {
             max_batch: self.max_batch,
             clients: self.clients,
             dest_groups: self.dest_groups,
+            outstanding: None,
             throughput_msg_s: self.throughput(),
             latency_p50_ms: self.result.latency.p50_ms(),
             latency_p99_ms: self.result.latency.p99_ms(),
@@ -127,6 +128,10 @@ pub struct BenchRecord {
     pub clients: usize,
     /// Destination groups per multicast.
     pub dest_groups: usize,
+    /// Multicasts each client keeps in flight. `None` for simulated sweeps,
+    /// whose clients are closed-loop with one outstanding multicast each.
+    /// Old records without the field parse as `None`.
+    pub outstanding: Option<u64>,
     /// Delivered messages per second of simulated time.
     pub throughput_msg_s: f64,
     /// Median delivery latency in milliseconds.
@@ -338,12 +343,19 @@ mod tests {
         let back: BenchRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, record);
 
-        // Records written before the `wire` field existed must keep parsing
-        // (the field is absent in BENCH_*.json lines from earlier runs).
-        let legacy = json.replacen("\"wire\":null,", "", 1);
-        assert_ne!(legacy, json, "expected to strip the wire field");
+        // Records written before the `wire` and `outstanding` fields existed
+        // must keep parsing (the fields are absent in BENCH_*.json lines from
+        // earlier runs).
+        let legacy =
+            json.replacen("\"wire\":null,", "", 1)
+                .replacen("\"outstanding\":null,", "", 1);
+        assert!(
+            !legacy.contains("wire") && !legacy.contains("outstanding"),
+            "expected to strip the wire and outstanding fields"
+        );
         let old: BenchRecord = serde_json::from_str(&legacy).unwrap();
         assert_eq!(old.wire, None);
+        assert_eq!(old.outstanding, None);
         assert_eq!(old, record);
 
         let path =

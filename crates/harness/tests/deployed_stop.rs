@@ -7,8 +7,6 @@
 //! bind races an ephemeral-port squatter must retry instead of dying with an
 //! empty log (both were found by the seeded net-chaos sweep).
 
-#![cfg(unix)]
-
 use std::io::Read as _;
 use std::net::TcpListener;
 use std::path::PathBuf;

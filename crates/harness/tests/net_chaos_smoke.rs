@@ -6,8 +6,6 @@
 //! plan digest that replays byte-for-byte. The CI `net-chaos` job runs wider
 //! sweeps; this keeps the driver itself inside tier-1.
 
-#![cfg(unix)]
-
 use std::path::PathBuf;
 
 use wbam_harness::chaos::generate_net_plan;

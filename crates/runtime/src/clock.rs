@@ -1,9 +1,9 @@
 //! The single time source every runtime layer consumes.
 //!
-//! The node event loop, the TCP poller and the in-process cluster all take
-//! their notion of "now", their timer deadlines and their envelope waits
-//! through the [`Clock`] trait instead of calling `Instant::now()` or
-//! `recv_timeout` directly. Two implementations exist:
+//! The node event loop and the TCP poller both take their notion of "now",
+//! their timer deadlines and their envelope waits through the [`Clock`]
+//! trait instead of calling `Instant::now()` or `recv_timeout` directly.
+//! Two implementations exist:
 //!
 //! * [`WallClock`] — production: zero-cost `#[inline]` wrappers over
 //!   [`Instant`] and [`Receiver::recv_timeout`], so the deployed hot path

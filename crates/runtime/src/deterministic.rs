@@ -1,16 +1,15 @@
 //! The deterministic runtime: the deployed node loop, scheduled by a seed.
 //!
 //! [`DeterministicRuntime`] runs N real node event loops (the exact
-//! `node_loop` code `wbamd` and [`InProcessCluster`](crate::InProcessCluster)
-//! ship — burst coalescing, timer generations, [`DeliveryLog`] batching and
-//! all) over an in-process channel transport, but single-threaded under a
-//! [`VirtualClock`]: a seed-derived scheduler chooses which mailbox delivers
-//! next, how large the delivery burst is, when virtual time advances (and so
-//! when timers fire), and where crash/restart lands. Every choice is drawn
-//! from a splitmix64 stream seeded by the caller, so an interleaving is a
-//! pure function of the seed plus the scripted workload — byte-for-byte
-//! replayable, the way `wbam-simnet` schedules already are, but through the
-//! deployed code path.
+//! `node_loop` code `wbamd` ships — burst coalescing, timer generations,
+//! [`DeliveryLog`] batching and all) over an in-process channel transport,
+//! but single-threaded under a [`VirtualClock`]: a seed-derived scheduler
+//! chooses which mailbox delivers next, how large the delivery burst is,
+//! when virtual time advances (and so when timers fire), and where
+//! crash/restart lands. Every choice is drawn from a splitmix64 stream
+//! seeded by the caller, so an interleaving is a pure function of the seed
+//! plus the scripted workload — byte-for-byte replayable, the way
+//! `wbam-simnet` schedules already are, but through the deployed code path.
 //!
 //! The schedule explorer in `wbam-harness` wraps this in `rt1` seed tokens
 //! (generate → check → minimize → replay); this module only provides the
@@ -192,11 +191,10 @@ pub enum TraceEvent {
     },
 }
 
-/// The deterministic transport: the same shape as
-/// [`ChannelTransport`](crate::ChannelTransport) (one unbounded channel per
-/// node, per-sender FIFO preserved), plus the two things the scheduler
-/// needs: a per-destination pending-envelope counter (the compat channel has
-/// no `len()`) and a record of every message carried.
+/// The deterministic transport: one unbounded channel per node (per-sender
+/// FIFO preserved), plus the two things the scheduler needs: a
+/// per-destination pending-envelope counter (the compat channel has no
+/// `len()`) and a record of every message carried.
 struct DetTransport<M> {
     from: ProcessId,
     peers: Arc<BTreeMap<ProcessId, DetPeer<M>>>,
@@ -411,8 +409,8 @@ impl<M: Clone + Send + 'static> DeterministicRuntime<M> {
                         self.loops[i].apply_restart();
                         self.trace.push(TraceEvent::Restart { node, at });
                     } else if self.senders[i].send(Envelope::Restart).is_ok() {
-                        // A restart without a preceding crash mirrors
-                        // `InProcessCluster::restart`: it arrives as mail.
+                        // A restart without a preceding crash arrives as
+                        // mail, as `TcpNode`'s restart flag delivers it.
                         self.pending[i].fetch_add(1, Ordering::Relaxed);
                         self.trace.push(TraceEvent::Restart { node, at });
                     }

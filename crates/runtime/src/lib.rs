@@ -2,44 +2,41 @@
 //!
 //! The deterministic simulator in `wbam-simnet` is ideal for experiments and
 //! tests, but deploying atomic multicast means running the protocols on real
-//! threads and real sockets. This crate provides both deployment shapes
-//! around one shared, transport-independent node event loop
-//! (crate-internal `node_loop`): every sans-IO [`Node`](wbam_types::Node) runs on
-//! its own OS thread, timers are served from the node thread's own timer
-//! heap, application deliveries land in a shared [`DeliveryLog`], and sends
-//! go through a [`Transport`]:
+//! threads and real sockets. This crate runs every sans-IO
+//! [`Node`](wbam_types::Node) through one shared, transport-independent node
+//! event loop (crate-internal `node_loop`): timers are served from the node's
+//! own timer heap, application deliveries land in a shared [`DeliveryLog`],
+//! and sends go through a [`Transport`]. Two shapes sit on that loop:
 //!
-//! * [`InProcessCluster`] — every node is a thread in this process and the
-//!   transport is an in-process channel per node ([`ChannelTransport`]).
-//!   Ideal for embedding a whole cluster in one service or test.
-//! * [`TcpNode`] — one node per OS process, the transport is real TCP with
-//!   `wbam_types::wire` framing (compact binary by default, JSON behind
-//!   `--wire json`), driven by a single nonblocking poller thread with
-//!   coalesced writes and reconnect-with-backoff ([`tcp::TcpTransport`]).
-//!   This is what the `wbamd` deployment binary (in `wbam-harness`) runs; see
-//!   `crates/harness` for the cluster topology spec.
-//! * [`DeterministicRuntime`] — the same node loop and a channel transport,
-//!   but driven single-threaded by a seeded scheduler over a
+//! * [`TcpNode`] — one node per OS process on its own thread, the transport
+//!   is real TCP with `wbam_types::wire` framing (compact binary by default,
+//!   JSON behind `--wire json`), driven by a single nonblocking `poll(2)`
+//!   poller thread with coalesced writes and reconnect-with-backoff
+//!   ([`tcp::TcpTransport`]). This is what the `wbamd` deployment binary (in
+//!   `wbam-harness`) runs; see `crates/harness` for the cluster topology
+//!   spec. Deployment is Unix-only.
+//! * [`DeterministicRuntime`] — the same node loop over an in-memory
+//!   transport, driven single-threaded by a seeded scheduler over a
 //!   [`VirtualClock`]: every interleaving of mailbox delivery, timer firing
 //!   and crash/restart is chosen by a seed and byte-for-byte replayable.
 //!   This is the runtime analogue of the `wbam-simnet` schedule explorer,
 //!   exercising the *deployed* code path (burst coalescing, timer
 //!   generations, `DeliveryLog`) instead of the simulator's.
 //!
-//! All three consume time exclusively through the [`Clock`] trait —
-//! [`WallClock`] (zero-cost `Instant`/`recv_timeout` wrappers) in the two
-//! production shapes, [`VirtualClock`] under the deterministic scheduler.
+//! Both consume time exclusively through the [`Clock`] trait — [`WallClock`]
+//! (zero-cost `Instant`/`recv_timeout` wrappers) under TCP, [`VirtualClock`]
+//! under the deterministic scheduler.
 //!
 //! # Example
 //!
 //! ```
 //! use std::time::Duration;
 //! use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
-//! use wbam_runtime::InProcessCluster;
-//! use wbam_types::{AppMessage, ClusterConfig, Destination, GroupId, MsgId, Payload, ProcessId};
+//! use wbam_runtime::{BoxedNode, DeterministicRuntime};
+//! use wbam_types::{AppMessage, ClusterConfig, Destination, GroupId, MsgId, Payload};
 //!
 //! let cluster = ClusterConfig::builder().groups(2, 3).clients(1).build();
-//! let mut nodes: Vec<Box<dyn wbam_types::Node<Msg = wbam_core::WhiteBoxMsg> + Send>> = Vec::new();
+//! let mut nodes: Vec<BoxedNode<wbam_core::WhiteBoxMsg>> = Vec::new();
 //! for gc in cluster.groups() {
 //!     for member in gc.members() {
 //!         let cfg = ReplicaConfig::new(*member, gc.id(), cluster.clone()).without_auto_election();
@@ -49,16 +46,16 @@
 //! let client = cluster.clients()[0];
 //! nodes.push(Box::new(MulticastClient::new(ClientConfig::new(client, cluster.clone()))));
 //!
-//! let handle = InProcessCluster::spawn(nodes);
+//! let mut runtime = DeterministicRuntime::new(nodes, 42);
 //! let msg = AppMessage::new(
 //!     MsgId::new(client, 0),
 //!     Destination::new(vec![GroupId(0), GroupId(1)]).unwrap(),
 //!     Payload::from("hello"),
 //! );
-//! handle.submit(client, msg).unwrap();
-//! let deliveries = handle.wait_for_deliveries(6, Duration::from_secs(5));
-//! assert!(deliveries.len() >= 6); // every replica of both groups delivers
-//! handle.shutdown();
+//! runtime.schedule_submit(Duration::ZERO, client, msg);
+//! runtime.run(Duration::from_secs(1));
+//! // Every replica of both groups delivers, and the client completes.
+//! assert_eq!(runtime.deliveries().len(), 7);
 //! ```
 
 #![warn(missing_docs)]
@@ -70,31 +67,26 @@ mod node_loop;
 pub mod tcp;
 pub mod transport;
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Sender};
-use wbam_types::{AppMessage, DeliveredMessage, ProcessId, WbamError};
-
-use node_loop::{run_node, Envelope};
+use wbam_types::{DeliveredMessage, ProcessId};
 
 pub use clock::{Clock, VirtualClock, WaitError, WallClock};
 pub use deterministic::{DeterministicRuntime, RuntimeScript, ScriptEvent, SentRecord, TraceEvent};
 pub use tcp::TcpNode;
-pub use transport::{ChannelTransport, Transport};
+pub use transport::Transport;
 
 /// A delivery observed by the runtime, tagged with the delivering process and
-/// wall-clock time since cluster start.
+/// the time since the runtime started (wall or virtual, per its clock).
 #[derive(Debug, Clone)]
 pub struct RuntimeDelivery {
     /// The process that delivered the message.
     pub process: ProcessId,
     /// The delivery record (message + global timestamp).
     pub delivery: DeliveredMessage,
-    /// Time since the cluster was spawned.
+    /// Time since the runtime started.
     pub elapsed: Duration,
 }
 
@@ -104,7 +96,7 @@ pub struct RuntimeDelivery {
 ///
 /// Node threads [`push`](Self::push) into it; the embedding application reads
 /// a [`snapshot`](Self::snapshot) or [`drain`](Self::drain)s the buffer (so a
-/// long-running cluster does not grow the log without bound). Waiters block
+/// long-running node does not grow the log without bound). Waiters block
 /// on a condition variable signalled by every push — no busy-polling, no
 /// per-iteration clone of the log.
 ///
@@ -114,7 +106,8 @@ pub struct RuntimeDelivery {
 /// embedder — that later touches the log. Instead the poisoning is recorded
 /// and exposed through [`is_poisoned`](Self::is_poisoned); the TCP runtime's
 /// control-path accessors ([`TcpNode::deliveries`] and friends) turn it into
-/// a typed [`WbamError::NotReady`] for the embedder.
+/// a typed [`WbamError::NotReady`](wbam_types::WbamError::NotReady) for the
+/// embedder.
 #[derive(Default)]
 pub struct DeliveryLog {
     state: Mutex<LogState>,
@@ -149,8 +142,9 @@ impl DeliveryLog {
     /// Whether a thread has panicked while holding the log's lock. The data
     /// itself stays consistent (every mutation is append-only), but the
     /// panicking node thread is gone, so counts may never advance again —
-    /// control-path APIs use this to report [`WbamError::NotReady`] instead
-    /// of hanging or panicking.
+    /// control-path APIs use this to report
+    /// [`WbamError::NotReady`](wbam_types::WbamError::NotReady) instead of
+    /// hanging or panicking.
     pub fn is_poisoned(&self) -> bool {
         // A past poisoning may not have been observed by `state()` yet; check
         // the mutex directly as well so the very first accessor sees it.
@@ -220,237 +214,30 @@ impl DeliveryLog {
             }
         }
     }
-
-    /// Blocks until the cumulative delivery count reaches `count` or the
-    /// timeout expires; returns a snapshot of the buffered deliveries.
-    pub fn wait_for(&self, count: u64, timeout: Duration) -> Vec<RuntimeDelivery> {
-        self.wait_for_total(count, timeout);
-        self.snapshot()
-    }
 }
 
 /// A sans-IO node as the runtime executes it: boxed, sendable to its thread.
 pub type BoxedNode<M> = Box<dyn wbam_types::Node<Msg = M> + Send>;
 
-/// Handle to a running in-process cluster.
-pub struct InProcessCluster<M> {
-    senders: Arc<HashMap<ProcessId, Sender<Envelope<M>>>>,
-    deliveries: Arc<DeliveryLog>,
-    threads: Vec<JoinHandle<()>>,
-    clock: WallClock,
-}
-
-impl<M: Send + 'static> InProcessCluster<M> {
-    /// Spawns one thread per node and wires them together with channels.
-    pub fn spawn(nodes: Vec<BoxedNode<M>>) -> Self {
-        let clock = WallClock::new();
-        let deliveries = Arc::new(DeliveryLog::new());
-        let mut senders: HashMap<ProcessId, Sender<Envelope<M>>> = HashMap::new();
-        let mut receivers = Vec::new();
-        for node in nodes {
-            let (tx, rx) = unbounded();
-            senders.insert(node.id(), tx);
-            receivers.push((node, rx));
-        }
-        let senders = Arc::new(senders);
-        let mut threads = Vec::new();
-        for (node, rx) in receivers {
-            let transport = ChannelTransport::new(node.id(), Arc::clone(&senders));
-            let deliveries = Arc::clone(&deliveries);
-            threads.push(std::thread::spawn(move || {
-                run_node(node, rx, transport, deliveries, clock);
-            }));
-        }
-        InProcessCluster {
-            senders,
-            deliveries,
-            threads,
-            clock,
-        }
-    }
-
-    fn control(&self, at: ProcessId, envelope: Envelope<M>) -> Result<(), WbamError> {
-        let tx = self.senders.get(&at).ok_or(WbamError::UnknownProcess(at))?;
-        tx.send(envelope).map_err(|_| WbamError::NotReady {
-            process: at,
-            reason: "node thread has exited".to_string(),
-        })
-    }
-
-    /// Submits an application message for multicast at the given node
-    /// (normally a client node).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WbamError::UnknownProcess`] when no node with id `at` exists
-    /// in this cluster (a typo'd target used to be silently dropped, making it
-    /// indistinguishable from a lost message), or [`WbamError::NotReady`] when
-    /// the node's thread has exited.
-    pub fn submit(&self, at: ProcessId, msg: AppMessage) -> Result<(), WbamError> {
-        self.control(at, Envelope::Submit(msg))
-    }
-
-    /// Tells a node to start leader recovery (for failover demonstrations).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::submit`].
-    pub fn become_leader(&self, at: ProcessId) -> Result<(), WbamError> {
-        self.control(at, Envelope::BecomeLeader)
-    }
-
-    /// Injects `Event::Restart` at a node: volatile context is discarded and
-    /// the node rejoins the protocol, mirroring the simulator's restart path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::submit`].
-    pub fn restart(&self, at: ProcessId) -> Result<(), WbamError> {
-        self.control(at, Envelope::Restart)
-    }
-
-    /// A snapshot of the deliveries currently buffered (those not yet
-    /// removed by [`Self::drain_deliveries`]).
-    pub fn deliveries(&self) -> Vec<RuntimeDelivery> {
-        self.deliveries.snapshot()
-    }
-
-    /// Removes and returns all buffered deliveries, so long-running clusters
-    /// can consume the log incrementally instead of growing it without bound.
-    /// The cumulative count in [`Self::total_deliveries`] is unaffected.
-    pub fn drain_deliveries(&self) -> Vec<RuntimeDelivery> {
-        self.deliveries.drain()
-    }
-
-    /// Total number of deliveries observed since spawn, including drained
-    /// ones.
-    pub fn total_deliveries(&self) -> u64 {
-        self.deliveries.total()
-    }
-
-    /// Blocks until at least `count` deliveries have been observed (counting
-    /// drained ones) or the timeout expires; returns the deliveries currently
-    /// buffered.
-    ///
-    /// Waiting blocks on a condition variable signalled by every delivery —
-    /// it no longer busy-polls with a sleep, nor clones the entire log once
-    /// per millisecond while waiting.
-    pub fn wait_for_deliveries(&self, count: usize, timeout: Duration) -> Vec<RuntimeDelivery> {
-        self.deliveries.wait_for(count as u64, timeout)
-    }
-
-    /// Time since the cluster was spawned.
-    pub fn uptime(&self) -> Duration {
-        self.clock.now()
-    }
-
-    /// Stops all node threads and waits for them to exit.
-    pub fn shutdown(self) {
-        for tx in self.senders.values() {
-            let _ = tx.send(Envelope::Shutdown);
-        }
-        for t in self.threads {
-            let _ = t.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxMsg, WhiteBoxReplica};
-    use wbam_types::{ClusterConfig, Destination, GroupId, MsgId, Payload};
+    use std::sync::Arc;
+    use wbam_types::{AppMessage, Destination, GroupId, MsgId, Payload};
 
-    fn build_nodes(cluster: &ClusterConfig) -> Vec<BoxedNode<WhiteBoxMsg>> {
-        let mut nodes: Vec<BoxedNode<WhiteBoxMsg>> = Vec::new();
-        for gc in cluster.groups() {
-            for member in gc.members() {
-                let cfg =
-                    ReplicaConfig::new(*member, gc.id(), cluster.clone()).without_auto_election();
-                nodes.push(Box::new(WhiteBoxReplica::new(cfg)));
-            }
+    fn delivery(seq: u64) -> RuntimeDelivery {
+        RuntimeDelivery {
+            process: ProcessId(0),
+            delivery: DeliveredMessage {
+                msg: AppMessage::new(
+                    MsgId::new(ProcessId(0), seq),
+                    Destination::single(GroupId(0)),
+                    Payload::from("x"),
+                ),
+                global_ts: None,
+            },
+            elapsed: Duration::ZERO,
         }
-        for client in cluster.clients() {
-            nodes.push(Box::new(MulticastClient::new(ClientConfig::new(
-                *client,
-                cluster.clone(),
-            ))));
-        }
-        nodes
-    }
-
-    #[test]
-    fn threaded_cluster_delivers_multicasts() {
-        let cluster = ClusterConfig::builder().groups(2, 3).clients(1).build();
-        let handle = InProcessCluster::spawn(build_nodes(&cluster));
-        let client = cluster.clients()[0];
-        for seq in 0..5u64 {
-            let msg = AppMessage::new(
-                MsgId::new(client, seq),
-                Destination::new(vec![GroupId(0), GroupId(1)]).unwrap(),
-                Payload::from(format!("op-{seq}").as_str()),
-            );
-            handle.submit(client, msg).unwrap();
-        }
-        // 5 messages × 6 replicas + 5 client completions = 35 deliveries.
-        let deliveries = handle.wait_for_deliveries(35, Duration::from_secs(10));
-        assert!(
-            deliveries.len() >= 35,
-            "expected at least 35 deliveries, got {}",
-            deliveries.len()
-        );
-        // Each replica delivered the five messages in the same order.
-        let order_of = |p: ProcessId| -> Vec<MsgId> {
-            deliveries
-                .iter()
-                .filter(|d| d.process == p)
-                .map(|d| d.delivery.msg.id)
-                .collect()
-        };
-        let reference = order_of(ProcessId(0));
-        assert_eq!(reference.len(), 5);
-        for p in 1..6u32 {
-            assert_eq!(
-                order_of(ProcessId(p)),
-                reference,
-                "replica p{p} order differs"
-            );
-        }
-        handle.shutdown();
-    }
-
-    #[test]
-    fn uptime_and_empty_delivery_snapshot() {
-        let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
-        let handle = InProcessCluster::spawn(build_nodes(&cluster));
-        assert!(handle.deliveries().is_empty());
-        assert!(handle.uptime() < Duration::from_secs(5));
-        handle.shutdown();
-    }
-
-    /// Regression (runtime bugfix sweep): control operations on an unknown
-    /// process id fail loudly instead of silently no-opping — a typo'd target
-    /// used to look exactly like a lost message.
-    #[test]
-    fn control_operations_reject_unknown_processes() {
-        let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
-        let handle = InProcessCluster::spawn(build_nodes(&cluster));
-        let bogus = ProcessId(999);
-        let msg = AppMessage::new(
-            MsgId::new(bogus, 0),
-            Destination::single(GroupId(0)),
-            Payload::from("x"),
-        );
-        assert_eq!(
-            handle.submit(bogus, msg),
-            Err(WbamError::UnknownProcess(bogus))
-        );
-        assert_eq!(
-            handle.become_leader(bogus),
-            Err(WbamError::UnknownProcess(bogus))
-        );
-        assert_eq!(handle.restart(bogus), Err(WbamError::UnknownProcess(bogus)));
-        handle.shutdown();
     }
 
     /// Regression (runtime bugfix sweep): draining the delivery log keeps the
@@ -459,31 +246,22 @@ mod tests {
     /// buffer or confusing waiters.
     #[test]
     fn drain_keeps_cumulative_count_and_wait_semantics() {
-        let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
-        let handle = InProcessCluster::spawn(build_nodes(&cluster));
-        let client = cluster.clients()[0];
-        let submit = |seq: u64| {
-            let msg = AppMessage::new(
-                MsgId::new(client, seq),
-                Destination::single(GroupId(0)),
-                Payload::from("x"),
-            );
-            handle.submit(client, msg).unwrap();
-        };
-        submit(0);
-        // 3 replica deliveries + 1 client completion.
-        assert!(handle.deliveries.wait_for_total(4, Duration::from_secs(10)));
-        let drained = handle.drain_deliveries();
-        assert!(drained.len() >= 4);
-        assert!(handle.deliveries().len() < drained.len());
-        assert_eq!(handle.total_deliveries(), drained.len() as u64);
+        let log = DeliveryLog::new();
+        assert!(log.snapshot().is_empty());
+        log.push_many((0..4).map(delivery).collect());
+        assert!(log.wait_for_total(4, Duration::from_secs(10)));
+        let drained = log.drain();
+        assert_eq!(drained.len(), 4);
+        assert!(log.snapshot().is_empty());
+        assert_eq!(log.total(), 4);
         // The next wait counts the drained deliveries too.
-        submit(1);
-        let buffered = handle.wait_for_deliveries(8, Duration::from_secs(10));
-        assert!(handle.total_deliveries() >= 8);
-        // Only the new deliveries are buffered.
-        assert!(buffered.iter().all(|d| d.delivery.msg.id.seq == 1));
-        handle.shutdown();
+        log.push(delivery(4));
+        assert!(log.wait_for_total(5, Duration::from_secs(10)));
+        assert!(!log.wait_for_total(6, Duration::ZERO));
+        // Only the new delivery is buffered.
+        let buffered = log.snapshot();
+        assert_eq!(buffered.len(), 1);
+        assert_eq!(buffered[0].delivery.msg.id.seq, 4);
     }
 
     /// Regression for the poison cascade: a thread that panics while holding
@@ -530,20 +308,32 @@ mod tests {
         assert!(log.is_poisoned());
     }
 
-    /// The condvar wait wakes promptly (well under the timeout) once the
-    /// expected count is reached, and respects the timeout when it is not.
+    /// The condvar wait respects the timeout when the count is not reached,
+    /// and wakes promptly (well under the timeout) once a push from another
+    /// thread reaches it.
     #[test]
     fn wait_for_deliveries_times_out_cleanly() {
-        let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
-        let handle = InProcessCluster::spawn(build_nodes(&cluster));
+        let log = Arc::new(DeliveryLog::new());
         let begin = Instant::now();
-        let observed = handle.wait_for_deliveries(1, Duration::from_millis(200));
-        assert!(observed.is_empty());
+        assert!(!log.wait_for_total(1, Duration::from_millis(200)));
         let waited = begin.elapsed();
         assert!(
             waited >= Duration::from_millis(150),
             "returned after {waited:?} without any delivery"
         );
-        handle.shutdown();
+
+        let pusher = Arc::clone(&log);
+        let thread = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            pusher.push(delivery(0));
+        });
+        let begin = Instant::now();
+        assert!(log.wait_for_total(1, Duration::from_secs(10)));
+        assert!(
+            begin.elapsed() < Duration::from_secs(5),
+            "woke only after {:?}",
+            begin.elapsed()
+        );
+        thread.join().unwrap();
     }
 }

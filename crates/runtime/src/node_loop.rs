@@ -4,8 +4,8 @@
 //! fires due timers from the node's own timer heap, waits for the next
 //! envelope (peer message or control event) and executes the actions the node
 //! returns — sends through the [`Transport`], deliveries into the shared
-//! [`DeliveryLog`]. The in-process cluster and the per-process TCP runtime
-//! run this exact loop on a dedicated OS thread with a [`WallClock`]; the
+//! [`DeliveryLog`]. The per-process TCP runtime runs this exact loop on a
+//! dedicated OS thread with a [`WallClock`]; the
 //! [`DeterministicRuntime`](crate::DeterministicRuntime) runs the same loop
 //! *stepped* — one scheduler decision at a time — under a
 //! [`VirtualClock`](crate::VirtualClock), so a protocol behaves identically

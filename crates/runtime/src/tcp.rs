@@ -13,18 +13,14 @@
 //! drains readable sockets, dials peers with exponential backoff, and flushes
 //! per-peer output buffers with coalesced writes — a whole burst of frames
 //! queued by the node thread goes out in one `write` call, so protocol
-//! batches stay batched on the socket. The poller is **wake-on-ready**: on
-//! Unix it multiplexes every socket plus a self-pipe wake fd through
-//! `poll(2)` (the in-tree `netpoll` shim), so inbound bytes wake it the
-//! instant the kernel marks a socket readable and the node thread wakes it
-//! explicitly — one byte down the pipe per [`Transport::send_many`] burst —
-//! when it queues outbound frames. The only timeout `poll` ever carries is
-//! the next dial-backoff deadline; an idle process sleeps indefinitely and a
-//! busy one never waits out a park. (Non-Unix targets keep the previous
-//! portable fallback: a `recv_timeout` park on the command channel with an
-//! adaptive 50 µs–50 ms idle, which woke instantly on *sends* but taxed
-//! *inbound* bytes with the park latency — the regression the wake-on-ready
-//! poller removes.)
+//! batches stay batched on the socket. The poller is **wake-on-ready**: it
+//! multiplexes every socket plus a self-pipe wake fd through `poll(2)` (the
+//! in-tree `netpoll` shim), so inbound bytes wake it the instant the kernel
+//! marks a socket readable and the node thread wakes it explicitly — one
+//! byte down the pipe per [`Transport::send_many`] burst — when it queues
+//! outbound frames. The only timeout `poll` ever carries is the next
+//! dial-backoff deadline; an idle process sleeps indefinitely and a busy one
+//! never waits out a park. Deployment is therefore Unix-only.
 //!
 //! Framing is `wbam_types::wire`: each connection opens with the 4-byte
 //! preamble (`"WB"` magic, wire version, codec byte) and a `Hello` frame
@@ -153,32 +149,23 @@ pub(crate) enum PollerCmd {
     Shutdown,
 }
 
-/// Wakes the poller thread out of its readiness wait. On Unix this is the
-/// write end of the poller's self-pipe ([`netpoll::WakePipe`]): one byte per
-/// call, coalesced by the kernel, drained once per poller iteration. On
-/// other targets it is a no-op — the fallback poller parks in `recv_timeout`
-/// on the command channel, which its senders wake directly.
+/// Wakes the poller thread out of its readiness wait: the write end of the
+/// poller's self-pipe ([`netpoll::WakePipe`]). One byte per call, coalesced
+/// by the kernel, drained once per poller iteration.
 #[derive(Clone)]
 pub(crate) struct PollerWaker {
-    #[cfg(unix)]
     pipe: Arc<netpoll::WakePipe>,
 }
 
 impl PollerWaker {
     fn new() -> Result<Self, WbamError> {
-        #[cfg(unix)]
-        {
-            let pipe = netpoll::WakePipe::new().map_err(WbamError::from)?;
-            Ok(PollerWaker {
-                pipe: Arc::new(pipe),
-            })
-        }
-        #[cfg(not(unix))]
-        Ok(PollerWaker {})
+        let pipe = netpoll::WakePipe::new().map_err(WbamError::from)?;
+        Ok(PollerWaker {
+            pipe: Arc::new(pipe),
+        })
     }
 
     fn wake(&self) {
-        #[cfg(unix)]
         self.pipe.wake();
     }
 }
@@ -462,44 +449,15 @@ fn queue_frames(
 }
 
 /// The single IO thread of a [`TcpNode`] process: accepts, reads, dials and
-/// writes every socket, nonblocking throughout. Dispatches to the
-/// wake-on-ready implementation on Unix and the portable parked fallback
-/// elsewhere; see the module docs for the scheduling discipline.
+/// writes every socket, nonblocking throughout. Every socket plus the wake
+/// pipe is multiplexed through `poll(2)`, so the loop runs only when the
+/// kernel has something for it — readable bytes, a writable once-full
+/// socket, a dead connection — or the node thread queued frames (self-pipe
+/// wake). The only timeout ever passed to `poll` is the nearest dial-backoff
+/// deadline of a down peer with queued bytes; an idle process sleeps
+/// indefinitely.
 #[allow(clippy::too_many_arguments)]
 fn poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
-    codec: WireCodec,
-    listener: TcpListener,
-    peer_addrs: Vec<(ProcessId, SocketAddr)>,
-    hello: Vec<u8>,
-    cmd_rx: Receiver<PollerCmd>,
-    env_tx: Sender<Envelope<M>>,
-    shutdown: Arc<AtomicBool>,
-    waker: PollerWaker,
-    stats: Arc<TransportStats>,
-    clock: C,
-) {
-    #[cfg(unix)]
-    ready_poller_loop::<M, C>(
-        codec, listener, peer_addrs, hello, cmd_rx, env_tx, shutdown, waker, stats, clock,
-    );
-    #[cfg(not(unix))]
-    {
-        let _ = waker;
-        parked_poller_loop::<M, C>(
-            codec, listener, peer_addrs, hello, cmd_rx, env_tx, shutdown, stats, clock,
-        );
-    }
-}
-
-/// The wake-on-ready poller (Unix): every socket plus the wake pipe is
-/// multiplexed through `poll(2)`, so the loop runs only when the kernel has
-/// something for it — readable bytes, a writable once-full socket, a dead
-/// connection — or the node thread queued frames (self-pipe wake). The only
-/// timeout ever passed to `poll` is the nearest dial-backoff deadline of a
-/// down peer with queued bytes; an idle process sleeps indefinitely.
-#[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn ready_poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
     codec: WireCodec,
     listener: TcpListener,
     peer_addrs: Vec<(ProcessId, SocketAddr)>,
@@ -644,112 +602,6 @@ fn ready_poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
     }
 }
 
-/// The portable fallback poller (non-Unix): parks in a short `recv_timeout`
-/// on the command channel, so outbound sends wake it instantly but inbound
-/// socket bytes wait out the park — an adaptive 50 µs–50 ms idle that backs
-/// off while the process is quiet. Kept only where `poll(2)` is unavailable.
-#[cfg(not(unix))]
-#[allow(clippy::too_many_arguments)]
-fn parked_poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
-    codec: WireCodec,
-    listener: TcpListener,
-    peer_addrs: Vec<(ProcessId, SocketAddr)>,
-    hello: Vec<u8>,
-    cmd_rx: Receiver<PollerCmd>,
-    env_tx: Sender<Envelope<M>>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-    clock: C,
-) {
-    /// Shortest idle wait between iterations; yields the core to the node
-    /// thread instead of spinning.
-    const IDLE_MIN: Duration = Duration::from_micros(50);
-    /// Longest idle wait once the process has been quiet for a while; also
-    /// bounds how stale the shutdown flag can get on this fallback path.
-    const IDLE_MAX: Duration = Duration::from_millis(50);
-    /// How long after the last activity the wait stays at `IDLE_MIN` before
-    /// backing off exponentially toward `IDLE_MAX`.
-    const HOT_WINDOW: Duration = Duration::from_millis(5);
-
-    use crate::clock::WaitError;
-
-    let mut peers: HashMap<ProcessId, PeerOut> = peer_addrs
-        .into_iter()
-        .map(|(p, a)| (p, PeerOut::new(a)))
-        .collect();
-    let mut inbound: Vec<InConn> = Vec::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut idle = IDLE_MIN;
-    let mut last_progress = clock.now();
-
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut progress = false;
-
-        loop {
-            match cmd_rx.try_recv() {
-                Ok(PollerCmd::Frames(frames)) => {
-                    progress = true;
-                    queue_frames(frames, &mut peers, &stats);
-                }
-                Ok(PollerCmd::Shutdown) | Err(TryRecvError::Disconnected) => return,
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-
-        loop {
-            match listener.accept() {
-                Ok((stream, addr)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    inbound.push(InConn {
-                        stream,
-                        desc: addr.to_string(),
-                        buf: Vec::new(),
-                        preamble_ok: false,
-                        from: None,
-                        ready: true,
-                    });
-                    progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-
-        inbound.retain_mut(|conn| {
-            let had = conn.buf.len();
-            let keep = service_inbound(conn, codec, &env_tx, &mut chunk);
-            progress |= conn.buf.len() != had || !keep;
-            keep
-        });
-
-        let now = clock.now();
-        for peer in peers.values_mut() {
-            progress |= service_peer(peer, &hello, now);
-        }
-
-        if progress {
-            last_progress = clock.now();
-            idle = IDLE_MIN;
-        } else if clock.now().saturating_sub(last_progress) > HOT_WINDOW {
-            idle = (idle * 2).min(IDLE_MAX);
-        }
-        match clock.recv_deadline(&cmd_rx, Some(clock.now() + idle)) {
-            Ok(PollerCmd::Frames(frames)) => {
-                last_progress = clock.now();
-                idle = IDLE_MIN;
-                queue_frames(frames, &mut peers, &stats);
-            }
-            Ok(PollerCmd::Shutdown) => return,
-            Err(WaitError::Timeout) => {}
-            Err(WaitError::Disconnected) => return,
-        }
-    }
-}
-
 /// Drains one inbound connection: reads until `WouldBlock`, then decodes
 /// every complete frame with a cursor and compacts the buffer once. Returns
 /// `false` when the connection should be dropped (EOF, IO error, bad
@@ -873,9 +725,10 @@ fn service_peer(peer: &mut PeerOut, hello: &[u8], now: Duration) -> bool {
 /// One protocol node running over real TCP: the per-process runtime behind
 /// the `wbamd` deployment binary (one OS process = one [`TcpNode`]).
 ///
-/// The node runs the same event loop as [`InProcessCluster`](crate::InProcessCluster)
-/// — only the transport differs — so a protocol that is correct under the
-/// simulator and the in-process runtime behaves identically here.
+/// The node runs the same event loop as
+/// [`DeterministicRuntime`](crate::DeterministicRuntime) — only the transport
+/// and the clock differ — so a protocol that is correct under the seeded
+/// scheduler behaves identically here.
 ///
 /// The delivery accessors return [`WbamError::NotReady`] when the node
 /// thread has panicked while publishing deliveries (a poisoned delivery
@@ -1039,8 +892,8 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         Ok(self.deliveries.snapshot())
     }
 
-    /// Removes and returns all buffered deliveries (see
-    /// [`InProcessCluster::drain_deliveries`](crate::InProcessCluster::drain_deliveries)).
+    /// Removes and returns all buffered deliveries; the cumulative count in
+    /// [`Self::total_deliveries`] is unaffected (see [`DeliveryLog::drain`]).
     ///
     /// # Errors
     ///

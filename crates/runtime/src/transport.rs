@@ -6,23 +6,18 @@
 //! [`Transport`]; everything else about running a node (timers, deliveries,
 //! control events) is transport-independent. Two transports exist:
 //!
-//! * [`ChannelTransport`] — in-process crossbeam channels, one per node
-//!   (used by [`InProcessCluster`](crate::InProcessCluster)); and
 //! * [`TcpTransport`](crate::tcp::TcpTransport) — real TCP sockets with
 //!   `wbam_types::wire` framing, driven by a single nonblocking
 //!   wake-on-ready poller thread (every socket plus a self-pipe wake fd
 //!   multiplexed through `poll(2)`; a `send_many` burst wakes the poller
 //!   with one byte down the pipe), used by the per-process
 //!   [`TcpNode`](crate::tcp::TcpNode) runtime and the `wbamd` deployment
-//!   binary.
+//!   binary; and
+//! * the [`DeterministicRuntime`](crate::DeterministicRuntime)'s in-memory
+//!   transport, which records every send and queues it into the seeded
+//!   scheduler's mailboxes.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use crossbeam_channel::Sender;
 use wbam_types::ProcessId;
-
-use crate::node_loop::Envelope;
 
 /// Carries protocol messages from the local node to its peers.
 ///
@@ -44,34 +39,6 @@ pub trait Transport<M>: Send + 'static {
     fn send_many(&self, msgs: Vec<(ProcessId, M)>) {
         for (to, msg) in msgs {
             self.send(to, msg);
-        }
-    }
-}
-
-/// In-process transport: peers are threads in this process, each owning an
-/// unbounded channel (which trivially preserves per-sender FIFO order).
-pub struct ChannelTransport<M> {
-    from: ProcessId,
-    peers: Arc<HashMap<ProcessId, Sender<Envelope<M>>>>,
-}
-
-impl<M> ChannelTransport<M> {
-    /// Creates the transport used by node `from` to reach `peers`.
-    pub(crate) fn new(
-        from: ProcessId,
-        peers: Arc<HashMap<ProcessId, Sender<Envelope<M>>>>,
-    ) -> Self {
-        ChannelTransport { from, peers }
-    }
-}
-
-impl<M: Send + 'static> Transport<M> for ChannelTransport<M> {
-    fn send(&self, to: ProcessId, msg: M) {
-        if let Some(tx) = self.peers.get(&to) {
-            let _ = tx.send(Envelope::FromPeer {
-                from: self.from,
-                msg,
-            });
         }
     }
 }

@@ -1,12 +1,13 @@
 //! Wall-vs-virtual equivalence: the same node, fed the same envelope/timer
 //! script, produces the same delivery sequence whether the loop runs on a
-//! real thread under the wall clock ([`InProcessCluster`]) or stepped under
-//! the virtual clock ([`DeterministicRuntime`]). The clock abstraction must
+//! real thread under the wall clock ([`TcpNode`]) or stepped under the
+//! virtual clock ([`DeterministicRuntime`]). The clock abstraction must
 //! change *when* things happen, never *what* happens.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-use wbam_runtime::{DeterministicRuntime, InProcessCluster};
+use wbam_runtime::{DeterministicRuntime, TcpNode};
 use wbam_types::{
     Action, AppMessage, DeliveredMessage, Destination, Event, GroupId, MsgId, Node, Payload,
     ProcessId, TimerId,
@@ -88,12 +89,15 @@ fn expected() -> Vec<MsgId> {
 fn wall_and_virtual_runs_deliver_the_same_sequence() {
     // Wall-clock run: a real thread, real sleeps. The sleeps are far from
     // every timer deadline, so scheduling jitter cannot reorder anything.
-    let wall = InProcessCluster::spawn(vec![Box::new(ScriptNode)]);
+    // `ScriptNode` never sends, so its TCP endpoint can bind any free port.
+    let addrs = BTreeMap::from([(NODE, "127.0.0.1:0".parse().unwrap())]);
+    let wall = TcpNode::spawn(Box::new(ScriptNode), &addrs, false).unwrap();
     std::thread::sleep(Duration::from_millis(400));
-    wall.submit(NODE, submission(0)).unwrap();
+    wall.submit(submission(0)).unwrap();
     std::thread::sleep(Duration::from_millis(200));
-    wall.submit(NODE, submission(1)).unwrap();
-    let wall_deliveries = wall.wait_for_deliveries(4, Duration::from_secs(10));
+    wall.submit(submission(1)).unwrap();
+    assert!(wall.wait_for_total(4, Duration::from_secs(10)).unwrap());
+    let wall_deliveries = wall.deliveries().unwrap();
     wall.shutdown();
     let wall_seq: Vec<MsgId> = wall_deliveries.iter().map(|d| d.delivery.msg.id).collect();
 
