@@ -1,9 +1,9 @@
 //! Deployed chaos sweep CLI: seeded fault plans against live `wbamd` clusters.
 //!
 //! ```text
-//! net_chaos [--plans N] [--base-seed S] [--messages M] [--wire binary|json|both]
-//!           [--out FILE] [--logs DIR] [--wbamd PATH]
-//! net_chaos --seed WBAM_NET_SEED=n1:WbCast:<hex> [--messages M] [--wire ...]
+//! net_chaos [--plans N] [--base-seed S] [--messages M] [--out FILE]
+//!           [--logs DIR] [--wbamd PATH]
+//! net_chaos --seed WBAM_NET_SEED=n1:WbCast:<hex> [--messages M]
 //! ```
 //!
 //! Each plan derives a complete experiment from one seed — link drops /
@@ -22,8 +22,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use wbam_types::wire::WireCodec;
-
 use wbam_harness::{
     run_net_token, NetChaosConfig, NetChaosReport, Protocol, SeedToken, TokenVersion,
 };
@@ -33,7 +31,6 @@ struct Args {
     base_seed: u64,
     seed: Option<String>,
     messages: Option<usize>,
-    wires: Vec<WireCodec>,
     out: Option<String>,
     logs: Option<PathBuf>,
     wbamd: Option<PathBuf>,
@@ -45,7 +42,6 @@ fn parse_args() -> Result<Args, String> {
         base_seed: 42,
         seed: None,
         messages: None,
-        wires: vec![WireCodec::default()],
         out: None,
         logs: None,
         wbamd: None,
@@ -75,23 +71,13 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--messages: {e}"))?,
                 );
             }
-            "--wire" => {
-                let name = value("--wire")?;
-                args.wires = if name == "both" {
-                    vec![WireCodec::Binary, WireCodec::Json]
-                } else {
-                    vec![WireCodec::from_name(&name)
-                        .ok_or_else(|| format!("--wire: unknown codec `{name}`"))?]
-                };
-            }
             "--out" => args.out = Some(value("--out")?),
             "--logs" => args.logs = Some(PathBuf::from(value("--logs")?)),
             "--wbamd" => args.wbamd = Some(PathBuf::from(value("--wbamd")?)),
             "--help" | "-h" => {
                 return Err(
                     "usage: net_chaos [--plans N] [--base-seed S] [--seed TOKEN] \
-                     [--messages M] [--wire binary|json|both] [--out FILE] \
-                     [--logs DIR] [--wbamd PATH]"
+                     [--messages M] [--out FILE] [--logs DIR] [--wbamd PATH]"
                         .to_string(),
                 );
             }
@@ -101,10 +87,9 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn describe(report: &NetChaosReport, wire: WireCodec, elapsed: std::time::Duration) {
+fn describe(report: &NetChaosReport, elapsed: std::time::Duration) {
     println!(
-        "  [{}] digest {:016x}: {}/{} ops completed, {} log lines, {} reads checked in {:.1?}",
-        wire.name(),
+        "  digest {:016x}: {}/{} ops completed, {} log lines, {} reads checked in {:.1?}",
         report.plan_digest,
         report.completed,
         report.ops,
@@ -145,41 +130,37 @@ fn main() -> ExitCode {
             .collect()
     };
 
-    let mut failures: Vec<(SeedToken, WireCodec, String, PathBuf)> = Vec::new();
+    let mut failures: Vec<(SeedToken, String, PathBuf)> = Vec::new();
     for token in &tokens {
-        for wire in &args.wires {
-            println!("running {token} [{}]", wire.name());
-            let config = NetChaosConfig {
-                messages: args.messages,
-                wire: Some(*wire),
-                log_dir: args
-                    .logs
-                    .as_ref()
-                    .map(|dir| dir.join(format!("{:016x}-{}", token.seed, wire.name()))),
-                wbamd: args.wbamd.clone(),
-            };
-            let started = Instant::now();
-            match run_net_token(token, &config) {
-                Ok(report) => {
-                    describe(&report, *wire, started.elapsed());
-                    match report.violation {
-                        None => println!("  OK"),
-                        Some(violation) => {
-                            println!("  VIOLATION: {violation}");
-                            println!("  logs kept in {}", report.log_dir.display());
-                            failures.push((*token, *wire, violation, report.log_dir));
-                        }
+        println!("running {token}");
+        let config = NetChaosConfig {
+            messages: args.messages,
+            log_dir: args
+                .logs
+                .as_ref()
+                .map(|dir| dir.join(format!("{:016x}", token.seed))),
+            wbamd: args.wbamd.clone(),
+        };
+        let started = Instant::now();
+        match run_net_token(token, &config) {
+            Ok(report) => {
+                describe(&report, started.elapsed());
+                match report.violation {
+                    None => println!("  OK"),
+                    Some(violation) => {
+                        println!("  VIOLATION: {violation}");
+                        println!("  logs kept in {}", report.log_dir.display());
+                        failures.push((*token, violation, report.log_dir));
                     }
                 }
-                Err(e) => {
-                    eprintln!("  SETUP FAILED: {e}");
-                    failures.push((
-                        *token,
-                        *wire,
-                        format!("run: {e}"),
-                        config.log_dir.unwrap_or_else(std::env::temp_dir),
-                    ));
-                }
+            }
+            Err(e) => {
+                eprintln!("  SETUP FAILED: {e}");
+                failures.push((
+                    *token,
+                    format!("run: {e}"),
+                    config.log_dir.unwrap_or_else(std::env::temp_dir),
+                ));
             }
         }
     }
@@ -188,27 +169,26 @@ fn main() -> ExitCode {
         println!(
             "\nall {} run(s) passed: Figure 6 agreement and the linearizability \
              oracle held over every drained delivery log",
-            tokens.len() * args.wires.len()
+            tokens.len()
         );
         return ExitCode::SUCCESS;
     }
 
     println!();
-    for (token, wire, violation, log_dir) in &failures {
-        println!("FAILING PLAN: {token} [{}]", wire.name());
+    for (token, violation, log_dir) in &failures {
+        println!("FAILING PLAN: {token}");
         println!("  {violation}");
         println!("  logs: {}", log_dir.display());
         println!(
             "  replay with: cargo run --release -p wbam-harness --bin net_chaos -- \
-             --seed '{token}' --wire {}",
-            wire.name()
+             --seed '{token}'"
         );
     }
     if let Some(path) = &args.out {
         match std::fs::File::create(path) {
             Ok(mut file) => {
-                for (token, wire, violation, _) in &failures {
-                    let _ = writeln!(file, "{token} wire={} {violation}", wire.name());
+                for (token, violation, _) in &failures {
+                    let _ = writeln!(file, "{token} {violation}");
                 }
                 println!("\nwrote {} failing seed(s) to {path}", failures.len());
             }

@@ -1,17 +1,14 @@
 //! `wbamd` — one WBAM cluster process (a replica or a client) over real TCP.
 //!
 //! ```text
-//! wbamd --spec cluster.json --id N [--restart] [--wire binary|json]
+//! wbamd --spec cluster.json --id N [--restart]
 //!       [--deliveries FILE] [--stdin-stop]
 //!       [--multicast N [--outstanding K] [--dest g0,g1] [--payload BYTES]
 //!        [--warmup W] [--first-seq S] [--summary FILE]]
 //! ```
 //!
-//! Every process of a cluster is started with the same
-//! [`DeploySpec`] JSON file and its own `--id`. `--wire` overrides the
-//! spec's wire codec (compact binary by default, `json` for debuggable
-//! frames); all processes must agree or the connection preamble rejects the
-//! mismatch with a clear error. When the spec carries a `routes` matrix the
+//! Every process of a cluster is started with the same [`DeploySpec`] JSON
+//! file and its own `--id`. When the spec carries a `routes` matrix the
 //! process dials its peers through those (proxied) addresses while still
 //! listening on its own `addrs` entry — how the `net_chaos` harness
 //! interposes its fault-injecting proxy on every link.
@@ -73,11 +70,10 @@ fn spawn_with_bind_retry<M: Serialize + DeserializeOwned + Send + 'static>(
     make_node: impl Fn() -> Result<BoxedNode<M>, WbamError>,
     addrs: &std::collections::BTreeMap<ProcessId, std::net::SocketAddr>,
     restart: bool,
-    codec: wbam_types::wire::WireCodec,
 ) -> Result<TcpNode<M>, WbamError> {
     let begin = Instant::now();
     loop {
-        match TcpNode::spawn_with_codec(make_node()?, addrs, restart, codec) {
+        match TcpNode::spawn(make_node()?, addrs, restart) {
             Ok(node) => return Ok(node),
             Err(WbamError::Io(e)) if begin.elapsed() < BIND_RETRY_WINDOW => {
                 eprintln!("wbamd: listener bind failed ({e}); retrying");
@@ -92,7 +88,6 @@ struct Args {
     spec: String,
     id: u32,
     restart: bool,
-    wire: Option<String>,
     deliveries: Option<String>,
     stdin_stop: bool,
     multicast: Option<u64>,
@@ -111,7 +106,6 @@ fn parse_args() -> Result<Args, String> {
         spec: String::new(),
         id: 0,
         restart: false,
-        wire: None,
         deliveries: None,
         stdin_stop: false,
         multicast: None,
@@ -138,13 +132,6 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--restart" => args.restart = true,
-            "--wire" => {
-                let name = value("--wire")?;
-                if wbam_types::wire::WireCodec::from_name(&name).is_none() {
-                    return Err(format!("--wire {name:?}: expected \"binary\" or \"json\""));
-                }
-                args.wire = Some(name);
-            }
             "--deliveries" => args.deliveries = Some(value("--deliveries")?),
             "--stdin-stop" => args.stdin_stop = true,
             "--multicast" => {
@@ -189,13 +176,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--summary" => args.summary = Some(value("--summary")?),
             "--help" | "-h" => {
-                return Err(
-                    "usage: wbamd --spec FILE --id N [--restart] [--wire binary|json] \
+                return Err("usage: wbamd --spec FILE --id N [--restart] \
                      [--deliveries FILE] [--stdin-stop] \
                      [--multicast N [--outstanding K] [--dest g0,g1] [--payload BYTES] \
                      [--warmup W] [--first-seq S] [--summary FILE]]"
-                        .to_string(),
-                )
+                    .to_string())
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -488,12 +473,6 @@ fn run() -> Result<(), WbamError> {
     // Listen on the own `addrs` entry, dial peers through `routes` when the
     // spec interposes a proxy on the links.
     let addrs = spec.dial_map(id)?;
-    let codec = match &args.wire {
-        Some(name) => {
-            wbam_types::wire::WireCodec::from_name(name).expect("validated by parse_args")
-        }
-        None => spec.wire_codec()?,
-    };
     let sink = JsonlSink::open(args.deliveries.as_deref())?;
     let dest = args
         .dest
@@ -517,7 +496,6 @@ fn run() -> Result<(), WbamError> {
                         || Ok(Box::new(spec.whitebox_replica(id)?) as BoxedNode<_>),
                         &addrs,
                         args.restart,
-                        codec,
                     )?,
                     sink,
                     &stop,
@@ -527,7 +505,6 @@ fn run() -> Result<(), WbamError> {
                         || Ok(Box::new(spec.baseline_replica(id)?) as BoxedNode<_>),
                         &addrs,
                         args.restart,
-                        codec,
                     )?,
                     sink,
                     &stop,
@@ -541,7 +518,6 @@ fn run() -> Result<(), WbamError> {
                         || Ok(Box::new(spec.whitebox_client(id)?) as BoxedNode<_>),
                         &addrs,
                         args.restart,
-                        codec,
                     )?,
                     &args,
                     dest,
@@ -552,7 +528,6 @@ fn run() -> Result<(), WbamError> {
                         || Ok(Box::new(spec.baseline_client(id)?) as BoxedNode<_>),
                         &addrs,
                         args.restart,
-                        codec,
                     )?,
                     &args,
                     dest,

@@ -54,7 +54,7 @@ use wbam_kvstore::{KvCommand, Partitioner};
 use wbam_runtime::{BoxedNode, TcpNode};
 use wbam_simnet::DeliveryRecord;
 use wbam_types::hash::Fnv64;
-use wbam_types::wire::{from_json, WireCodec};
+use wbam_types::wire::from_json;
 use wbam_types::{
     AppMessage, ClusterConfig, CrashSpec, GroupId, LinkFaults, MsgId, NemesisPlan, PartitionSpec,
     Payload, ProcessId, Timestamp, WbamError,
@@ -249,9 +249,6 @@ pub struct NetChaosConfig {
     /// Override the derived workload size (smaller for CI smokes). The same
     /// token + the same override is the replay unit.
     pub messages: Option<usize>,
-    /// Wire codec for the whole cluster (`None` → the deployed default,
-    /// binary).
-    pub wire: Option<WireCodec>,
     /// Where to put the spec and delivery logs. `None` uses a fresh temp
     /// directory that is removed again when the run passes and kept (and
     /// named in the report) when it fails.
@@ -412,22 +409,20 @@ pub fn run_net_token(
     config: &NetChaosConfig,
 ) -> Result<NetChaosReport, WbamError> {
     let plan = generate_net_plan(token, config.messages);
-    let wire = config.wire.unwrap_or_default();
     let (log_dir, ephemeral) = match &config.log_dir {
         Some(d) => (d.clone(), false),
         None => {
             // One directory per *run*, not per seed: `wbamd` appends to its
-            // delivery log, so two runs of the same seed (one per wire
-            // codec, say) sharing a directory interleave their logs — a
-            // sweep once mis-reported exactly that as a duplicate delivery.
+            // delivery log, so two runs of the same seed sharing a
+            // directory interleave their logs — a sweep once mis-reported
+            // exactly that as a duplicate delivery.
             static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let run = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             (
                 std::env::temp_dir().join(format!(
-                    "wbam-net-chaos-{}-{:016x}-{}-r{run}",
+                    "wbam-net-chaos-{}-{:016x}-r{run}",
                     std::process::id(),
                     token.seed,
-                    wire.name()
                 )),
                 true,
             )
@@ -459,7 +454,6 @@ pub fn run_net_token(
 
     // --- Bring the cluster up, every link proxied -----------------------
     let mut spec = DeploySpec::loopback_free_ports(Protocol::WhiteBox, NUM_GROUPS, GROUP_SIZE, 1)?;
-    spec.wire = Some(wire.name().to_string());
     spec.heartbeat_ms = 100;
     spec.election_timeout_ms = 1500;
     let epoch = Instant::now();
@@ -475,7 +469,7 @@ pub fn run_net_token(
     }
     let client_id = ProcessId(REPLICAS);
     let node: BoxedNode<WhiteBoxMsg> = Box::new(spec.whitebox_client(client_id)?);
-    let client = TcpNode::spawn_with_codec(node, &routed.dial_map(client_id)?, false, wire)?;
+    let client = TcpNode::spawn(node, &routed.dial_map(client_id)?, false)?;
 
     // --- Drive workload + process faults on one timeline ----------------
     let partitioner = Partitioner::new(NUM_GROUPS as u32);

@@ -42,7 +42,7 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 use wbam_baselines::common::{BaselineClient, BaselineReplica};
 use wbam_core::{ClientConfig, MulticastClient, ReplicaConfig, WhiteBoxReplica};
-use wbam_types::wire::{from_json, to_json, WireCodec};
+use wbam_types::wire::{from_json, to_json};
 use wbam_types::{ClusterConfig, GroupId, ProcessId, Timestamp, WbamError};
 
 use crate::cluster::Protocol;
@@ -89,13 +89,6 @@ pub struct DeploySpec {
     pub election_timeout_ms: u64,
     /// Client (and replica) retry timeout in milliseconds.
     pub retry_timeout_ms: u64,
-    /// Wire codec for all TCP connections: `"binary"` (the default when the
-    /// field is absent) or `"json"` (the debuggable compatibility codec).
-    /// Every process of a cluster must agree — the connection preamble
-    /// rejects mixed-codec peers with a clear error. Overridable per process
-    /// with `wbamd --wire`, which is how the mismatch regression tests force
-    /// a disagreement.
-    pub wire: Option<String>,
     /// Optional per-link dial routing: `routes[i][j]` is the address process
     /// `i` dials to reach process `j`, letting an orchestrator interpose a
     /// man-in-the-middle (the harness's [`NemesisProxy`](crate::NemesisProxy))
@@ -134,7 +127,6 @@ impl DeploySpec {
             heartbeat_ms: 50,
             election_timeout_ms: 500,
             retry_timeout_ms: 500,
-            wire: None,
             routes: None,
         }
     }
@@ -239,24 +231,6 @@ impl DeploySpec {
             })
     }
 
-    /// The wire codec this cluster's connections use ([`WireCodec::Binary`]
-    /// when the spec does not name one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WbamError::Codec`] for a codec name that is neither
-    /// `"binary"` nor `"json"`.
-    pub fn wire_codec(&self) -> Result<WireCodec, WbamError> {
-        match &self.wire {
-            None => Ok(WireCodec::default()),
-            Some(name) => WireCodec::from_name(name).ok_or_else(|| {
-                WbamError::Codec(format!(
-                    "unknown wire codec {name:?} (expected \"binary\" or \"json\")"
-                ))
-            }),
-        }
-    }
-
     /// Checks internal consistency (address count, group sizes, protocol).
     ///
     /// # Errors
@@ -264,7 +238,6 @@ impl DeploySpec {
     /// Returns the first inconsistency as a [`WbamError`].
     pub fn validate(&self) -> Result<(), WbamError> {
         self.protocol()?;
-        self.wire_codec()?;
         let expected = self.num_groups * self.group_size + self.num_clients;
         if self.addrs.len() != expected {
             return Err(WbamError::Codec(format!(
@@ -675,22 +648,20 @@ mod tests {
         assert!(spec.protocol().is_err());
     }
 
+    /// A spec file written by an older build still carries a `"wire"` key
+    /// (`"binary"` or `null`); the shim ignores unknown keys, so it parses
+    /// and validates unchanged.
     #[test]
-    fn wire_codec_defaults_to_binary_and_rejects_unknown_names() {
-        let mut spec = DeploySpec::loopback(Protocol::WhiteBox, 1, 3, 1, 7700);
-        assert_eq!(spec.wire_codec().unwrap(), WireCodec::Binary);
-        spec.wire = Some("json".to_string());
-        assert_eq!(spec.wire_codec().unwrap(), WireCodec::Json);
-        spec.validate().unwrap();
-        spec.wire = Some("msgpack".to_string());
-        assert!(spec.validate().is_err());
-        // A pre-codec spec (no `wire` field at all) still parses and means
-        // binary — the shim treats a missing field as None.
-        let mut legacy = DeploySpec::loopback(Protocol::WhiteBox, 1, 3, 1, 7800);
-        legacy.wire = None;
-        let json = legacy.to_json().unwrap();
-        let back = DeploySpec::from_json(&json).unwrap();
-        assert_eq!(back.wire_codec().unwrap(), WireCodec::Binary);
+    fn spec_json_with_legacy_wire_key_still_parses() {
+        let spec = DeploySpec::loopback(Protocol::WhiteBox, 1, 3, 1, 7700);
+        let json = spec.to_json().unwrap();
+        for wire in ["\"binary\"", "null"] {
+            let legacy = json.replacen("\"routes\":", &format!("\"wire\":{wire},\"routes\":"), 1);
+            assert!(legacy.contains("\"wire\":"), "{legacy}");
+            let back = DeploySpec::from_json(&legacy).unwrap();
+            back.validate().unwrap();
+            assert_eq!(back, spec);
+        }
     }
 
     /// The summary math behind `ClientSummary`: percentiles follow the

@@ -116,7 +116,8 @@ pub struct BenchRecord {
     pub bench: String,
     /// Environment label (`lan`, `wan`, ...).
     pub environment: String,
-    /// Wire codec the cluster ran with (`"binary"` or `"json"`). `None` for
+    /// Wire codec the cluster ran with: `"binary"` for deployed benches
+    /// (older records may read `"json"`, a retired codec). `None` for
     /// simulated benches, which exchange in-memory values and never hit a
     /// serialiser. Old records without the field parse as `None`.
     pub wire: Option<String>,

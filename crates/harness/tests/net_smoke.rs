@@ -7,9 +7,8 @@
 //! surviving quorum, restarts the victim with `--restart` (a fresh process on
 //! the same address, like a redeployment), and asserts that every replica —
 //! including the rejoined one — delivered every message in the identical
-//! order. The scenario runs once per wire codec (binary and JSON), so both
-//! framing paths stay deployable. This is the CI `net-smoke` job and the
-//! paper-gap closer for "simulated, not deployed".
+//! order. This is the CI `net-smoke` job and the paper-gap closer for
+//! "simulated, not deployed".
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -17,7 +16,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use wbam_harness::{ChildGuard, ClientSummary, DeliveryLine, DeploySpec, Protocol};
-use wbam_types::wire::{from_json, WireCodec};
+use wbam_types::wire::from_json;
 use wbam_types::MsgId;
 
 /// The running cluster: every replica child is wrapped in a [`ChildGuard`],
@@ -112,17 +111,13 @@ fn wait_for_lines(path: &Path, count: usize, timeout: Duration) -> Vec<MsgId> {
     }
 }
 
-fn kill_and_restart_scenario(codec: WireCodec) {
-    let dir = std::env::temp_dir().join(format!(
-        "wbam-net-smoke-{}-{}",
-        codec.name(),
-        std::process::id()
-    ));
+#[test]
+fn tcp_process_cluster_survives_kill_and_restart() {
+    let dir = std::env::temp_dir().join(format!("wbam-net-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
 
     let mut spec = DeploySpec::loopback_free_ports(Protocol::WhiteBox, 2, 3, 1)
         .expect("reserve loopback ports");
-    spec.wire = Some(codec.name().to_string());
     // Generous failure-detector timing: CI runners schedule seven processes'
     // worth of threads, and a spurious election would only slow the test.
     spec.heartbeat_ms = 100;
@@ -201,14 +196,4 @@ fn kill_and_restart_scenario(codec: WireCodec) {
         pre_kill.len()
     );
     assert_eq!(pre_kill[..], reference[..pre_kill.len()]);
-}
-
-#[test]
-fn tcp_process_cluster_survives_kill_and_restart() {
-    kill_and_restart_scenario(WireCodec::Binary);
-}
-
-#[test]
-fn tcp_process_cluster_survives_kill_and_restart_json_wire() {
-    kill_and_restart_scenario(WireCodec::Json);
 }

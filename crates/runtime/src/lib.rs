@@ -9,10 +9,9 @@
 //! and sends go through a [`Transport`]. Two shapes sit on that loop:
 //!
 //! * [`TcpNode`] — one node per OS process on its own thread, the transport
-//!   is real TCP with `wbam_types::wire` framing (compact binary by default,
-//!   JSON behind `--wire json`), driven by a single nonblocking `poll(2)`
-//!   poller thread with coalesced writes and reconnect-with-backoff
-//!   ([`tcp::TcpTransport`]). This is what the `wbamd` deployment binary (in
+//!   is real TCP with `wbam_types::wire` framing (compact binary bodies),
+//!   driven by a single nonblocking `poll(2)` poller thread with coalesced
+//!   writes and reconnect-with-backoff ([`tcp::TcpTransport`]). This is what the `wbamd` deployment binary (in
 //!   `wbam-harness`) runs; see `crates/harness` for the cluster topology
 //!   spec. Deployment is Unix-only.
 //! * [`DeterministicRuntime`] — the same node loop over an in-memory

@@ -25,11 +25,10 @@
 //! Framing is `wbam_types::wire`: each connection opens with the 4-byte
 //! preamble (`"WB"` magic, wire version, codec byte) and a `Hello` frame
 //! identifying the dialling process, then carries length-prefixed protocol
-//! frames encoded with the negotiated [`WireCodec`] — compact binary by
-//! default, JSON behind the `wbamd --wire json` compatibility flag. A peer
-//! whose preamble disagrees (wrong codec, wrong version, not a WBAM process
-//! at all) is rejected immediately with a clear error on stderr, so a
-//! mixed-codec cluster fails fast instead of surfacing as garbled frames.
+//! frames with compact binary bodies. A peer whose preamble disagrees
+//! (wrong version, the retired JSON codec, not a WBAM process at all) is
+//! rejected immediately with a clear error on stderr, so a mixed cluster
+//! fails fast instead of surfacing as garbled frames.
 //!
 //! Connection loss follows the fair-lossy link model the protocols are
 //! designed for: bytes in flight die with the connection, frames queued while
@@ -101,7 +100,7 @@ use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use wbam_types::wire::{
-    check_preamble, decode_frame_slice, encode_frame_with, encode_preamble, WireCodec, PREAMBLE_LEN,
+    check_preamble, decode_frame_slice, encode_frame_with, WireCodec, PREAMBLE, PREAMBLE_LEN,
 };
 use wbam_types::{AppMessage, ProcessId, WbamError};
 
@@ -127,7 +126,7 @@ const OUTBUF_CAP: usize = 8 * 1024 * 1024;
 const READ_CHUNK: usize = 64 * 1024;
 
 /// What travels inside a TCP frame: a connection handshake or a protocol
-/// message, encoded with the connection's negotiated [`WireCodec`].
+/// message, with a binary body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum WireFrame<M> {
     /// First frame of every connection (right after the preamble): identifies
@@ -230,7 +229,6 @@ pub(crate) struct PollerHandle {
 /// network stack.
 pub struct TcpTransport<M> {
     local: ProcessId,
-    codec: WireCodec,
     loopback: Sender<Envelope<M>>,
     cmd_tx: Sender<PollerCmd>,
     waker: PollerWaker,
@@ -248,7 +246,6 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpTransport<M> {
     /// Returns [`WbamError::Io`] when the wake pipe cannot be created.
     pub(crate) fn new(
         local: ProcessId,
-        codec: WireCodec,
         listener: TcpListener,
         loopback: Sender<Envelope<M>>,
         addrs: &BTreeMap<ProcessId, SocketAddr>,
@@ -260,9 +257,10 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpTransport<M> {
         // Preamble + Hello, sent as the first bytes of every outbound
         // connection. Encoded once here (where `M: Serialize` is in scope);
         // the poller itself only needs to decode.
-        let mut hello = encode_preamble(codec).to_vec();
-        let hello_frame = encode_frame_with(codec, &WireFrame::<M>::Hello { from: local })
-            .expect("Hello frame serialisation cannot fail");
+        let mut hello = PREAMBLE.to_vec();
+        let hello_frame =
+            encode_frame_with(WireCodec::Binary, &WireFrame::<M>::Hello { from: local })
+                .expect("Hello frame serialisation cannot fail");
         hello.extend_from_slice(&hello_frame);
 
         let peer_addrs: Vec<(ProcessId, SocketAddr)> = addrs
@@ -278,8 +276,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpTransport<M> {
             let stats = Arc::clone(&stats);
             std::thread::spawn(move || {
                 poller_loop::<M, _>(
-                    codec, listener, peer_addrs, hello, cmd_rx, env_tx, shutdown, waker, stats,
-                    clock,
+                    listener, peer_addrs, hello, cmd_rx, env_tx, shutdown, waker, stats, clock,
                 );
             })
         };
@@ -292,7 +289,6 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpTransport<M> {
         Ok((
             TcpTransport {
                 local,
-                codec,
                 loopback,
                 cmd_tx,
                 waker,
@@ -305,7 +301,7 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpTransport<M> {
     fn encode(&self, msg: M) -> Option<Bytes> {
         // An unencodable message (e.g. over MAX_FRAME_LEN) is dropped: it
         // could never reach the peer, and retrying cannot help.
-        encode_frame_with(self.codec, &WireFrame::Protocol(msg)).ok()
+        encode_frame_with(WireCodec::Binary, &WireFrame::Protocol(msg)).ok()
     }
 }
 
@@ -458,7 +454,6 @@ fn queue_frames(
 /// indefinitely.
 #[allow(clippy::too_many_arguments)]
 fn poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
-    codec: WireCodec,
     listener: TcpListener,
     peer_addrs: Vec<(ProcessId, SocketAddr)>,
     hello: Vec<u8>,
@@ -526,7 +521,7 @@ fn poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
         // 3. Read and decode from every inbound connection the kernel marked
         // readable (level-triggered: unread bytes re-report next poll).
         inbound.retain_mut(|conn| {
-            !std::mem::take(&mut conn.ready) || service_inbound(conn, codec, &env_tx, &mut chunk)
+            !std::mem::take(&mut conn.ready) || service_inbound(conn, &env_tx, &mut chunk)
         });
 
         // 4. Dial due peers and flush queued output. Writes are attempted
@@ -609,7 +604,6 @@ fn poller_loop<M: DeserializeOwned + Send + 'static, C: Clock>(
 /// from; the peer's poller re-dials).
 fn service_inbound<M: DeserializeOwned>(
     conn: &mut InConn,
-    codec: WireCodec,
     env_tx: &Sender<Envelope<M>>,
     chunk: &mut [u8],
 ) -> bool {
@@ -629,7 +623,7 @@ fn service_inbound<M: DeserializeOwned>(
         }
         let mut preamble = [0u8; PREAMBLE_LEN];
         preamble.copy_from_slice(&conn.buf[..PREAMBLE_LEN]);
-        if let Err(e) = check_preamble(&preamble, codec) {
+        if let Err(e) = check_preamble(&preamble) {
             eprintln!("wbam-runtime: rejecting connection from {}: {e}", conn.desc);
             return false;
         }
@@ -637,7 +631,7 @@ fn service_inbound<M: DeserializeOwned>(
         pos = PREAMBLE_LEN;
     }
     loop {
-        match decode_frame_slice::<WireFrame<M>>(codec, &conn.buf[pos..]) {
+        match decode_frame_slice::<WireFrame<M>>(WireCodec::Binary, &conn.buf[pos..]) {
             Ok(Some((WireFrame::Hello { from }, used))) => {
                 conn.from = Some(from);
                 pos += used;
@@ -747,24 +741,10 @@ pub struct TcpNode<M> {
 }
 
 impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
-    /// Spawns the node with the default wire codec ([`WireCodec::Binary`]);
-    /// see [`Self::spawn_with_codec`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::spawn_with_codec`].
-    pub fn spawn(
-        node: BoxedNode<M>,
-        addrs: &BTreeMap<ProcessId, SocketAddr>,
-        restart: bool,
-    ) -> Result<Self, WbamError> {
-        Self::spawn_with_codec(node, addrs, restart, WireCodec::default())
-    }
-
     /// Binds `addrs[node.id()]`, spawns the poller thread and the node
-    /// thread, and starts the node with `Event::Init`. All connections use
-    /// `codec` for their frame bodies; the preamble handshake rejects peers
-    /// running a different codec (or wire version) with a clear error.
+    /// thread, and starts the node with `Event::Init`. The preamble
+    /// handshake rejects peers running a different wire version (or the
+    /// retired JSON codec) with a clear error.
     ///
     /// With `restart = true` the node additionally receives `Event::Restart`
     /// before any peer traffic — the flag a redeployed `wbamd` process passes
@@ -777,11 +757,10 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
     /// Returns [`WbamError::UnknownProcess`] when `addrs` has no entry for
     /// the node, or [`WbamError::Io`] when binding its listen address (or
     /// creating the poller's wake pipe) fails.
-    pub fn spawn_with_codec(
+    pub fn spawn(
         node: BoxedNode<M>,
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         restart: bool,
-        codec: WireCodec,
     ) -> Result<Self, WbamError> {
         let id = node.id();
         let listen = *addrs.get(&id).ok_or(WbamError::UnknownProcess(id))?;
@@ -803,7 +782,6 @@ impl<M: Serialize + DeserializeOwned + Send + 'static> TcpNode<M> {
         }
         let (transport, poller) = TcpTransport::new(
             id,
-            codec,
             listener,
             env_tx.clone(),
             addrs,
@@ -983,12 +961,10 @@ mod tests {
         addrs: &BTreeMap<ProcessId, SocketAddr>,
         member: ProcessId,
         restart: bool,
-        codec: WireCodec,
     ) -> TcpNode<WhiteBoxMsg> {
         let group = cluster.group_of(member).expect("replica group");
         let cfg = ReplicaConfig::new(member, group, cluster.clone()).without_auto_election();
-        TcpNode::spawn_with_codec(Box::new(WhiteBoxReplica::new(cfg)), addrs, restart, codec)
-            .expect("spawn")
+        TcpNode::spawn(Box::new(WhiteBoxReplica::new(cfg)), addrs, restart).expect("spawn")
     }
 
     fn order_of(node: &TcpNode<WhiteBoxMsg>) -> Vec<MsgId> {
@@ -1000,8 +976,8 @@ mod tests {
     }
 
     /// A 2-group × 3-replica cluster over real loopback sockets delivers
-    /// cross-group multicasts in identical per-replica order (binary codec,
-    /// the deployed default), and a fault-free run drops zero frames at the
+    /// cross-group multicasts in identical per-replica order, and a
+    /// fault-free run drops zero frames at the
     /// output-buffer cap.
     #[test]
     fn tcp_cluster_delivers_cross_group_multicasts_in_order() {
@@ -1011,7 +987,7 @@ mod tests {
             .groups()
             .iter()
             .flat_map(|gc| gc.members().to_vec())
-            .map(|m| spawn_replica(&cluster, &addrs, m, false, WireCodec::Binary))
+            .map(|m| spawn_replica(&cluster, &addrs, m, false))
             .collect();
         let client_id = cluster.clients()[0];
         let client = TcpNode::spawn(
@@ -1058,62 +1034,16 @@ mod tests {
         client.shutdown();
     }
 
-    /// The `--wire json` compatibility codec still carries a cluster
-    /// end-to-end: a 1-group × 3-replica cluster plus client, all speaking
-    /// JSON frames, delivers in identical order.
-    #[test]
-    fn json_codec_cluster_delivers() {
-        let cluster = ClusterConfig::builder().groups(1, 3).clients(1).build();
-        let addrs = reserve_addrs(&cluster);
-        let replicas: Vec<TcpNode<WhiteBoxMsg>> = cluster.groups()[0]
-            .members()
-            .iter()
-            .map(|&m| spawn_replica(&cluster, &addrs, m, false, WireCodec::Json))
-            .collect();
-        let client_id = cluster.clients()[0];
-        let client = TcpNode::spawn_with_codec(
-            Box::new(MulticastClient::new(ClientConfig::new(
-                client_id,
-                cluster.clone(),
-            ))),
-            &addrs,
-            false,
-            WireCodec::Json,
-        )
-        .expect("spawn client");
-        for seq in 0..3u64 {
-            client
-                .submit(AppMessage::new(
-                    MsgId::new(client_id, seq),
-                    Destination::single(GroupId(0)),
-                    Payload::from(format!("op-{seq}").as_str()),
-                ))
-                .unwrap();
-        }
-        assert!(client.wait_for_total(3, Duration::from_secs(30)).unwrap());
-        for r in &replicas {
-            assert!(r.wait_for_total(3, Duration::from_secs(30)).unwrap());
-        }
-        let reference = order_of(&replicas[0]);
-        for r in &replicas[1..] {
-            assert_eq!(order_of(r), reference);
-        }
-        for r in replicas {
-            r.shutdown();
-        }
-        client.shutdown();
-    }
-
-    /// Regression for the handshake version/codec negotiation: a peer whose
-    /// preamble announces the wrong codec (or garbage) is disconnected
-    /// promptly — the accepting side closes the socket instead of trying to
-    /// parse frames it cannot decode.
+    /// Regression for the handshake version/codec check: a peer whose
+    /// preamble announces the retired JSON codec (or garbage) is
+    /// disconnected promptly — the accepting side closes the socket instead
+    /// of trying to parse frames it cannot decode.
     #[test]
     fn mismatched_preamble_is_rejected_with_prompt_close() {
         let cluster = ClusterConfig::builder().groups(1, 1).clients(0).build();
         let addrs = reserve_addrs(&cluster);
         let replica = cluster.groups()[0].members()[0];
-        let node = spawn_replica(&cluster, &addrs, replica, false, WireCodec::Binary);
+        let node = spawn_replica(&cluster, &addrs, replica, false);
 
         let probe = |preamble: &[u8]| -> std::io::Result<usize> {
             let mut stream = TcpStream::connect(addrs[&replica]).expect("dial node");
@@ -1125,9 +1055,13 @@ mod tests {
             stream.read(&mut buf)
         };
 
-        // A JSON-codec peer dialling a binary-codec node: closed with EOF (or
-        // reset), never left hanging and never answered with data.
-        match probe(&encode_preamble(WireCodec::Json)) {
+        // A peer still sending JSON frame bodies (codec byte 1) is refused
+        // by name, and the node closes with EOF (or reset), never leaving it
+        // hanging and never answering with data.
+        let json_preamble = [b'W', b'B', 1, 1];
+        let err = check_preamble(&json_preamble).expect_err("codec byte 1 is retired");
+        assert!(err.to_string().contains("retired JSON wire codec"), "{err}");
+        match probe(&json_preamble) {
             Ok(0) => {}
             Ok(n) => panic!("expected EOF, read {n} bytes"),
             Err(e) => assert!(
@@ -1159,12 +1093,7 @@ mod tests {
         let members = cluster.groups()[0].members().to_vec();
         let mut replicas: BTreeMap<ProcessId, TcpNode<WhiteBoxMsg>> = members
             .iter()
-            .map(|m| {
-                (
-                    *m,
-                    spawn_replica(&cluster, &addrs, *m, false, WireCodec::Binary),
-                )
-            })
+            .map(|m| (*m, spawn_replica(&cluster, &addrs, *m, false)))
             .collect();
         let client_id = cluster.clients()[0];
         let client = TcpNode::spawn(
@@ -1202,7 +1131,7 @@ mod tests {
         assert!(client.wait_for_total(5, Duration::from_secs(30)).unwrap());
 
         // A fresh process takes over the victim's address and rejoins.
-        let rejoined = spawn_replica(&cluster, &addrs, victim, true, WireCodec::Binary);
+        let rejoined = spawn_replica(&cluster, &addrs, victim, true);
         // It recovers the full history (its delivery log starts empty) and
         // keeps up with new traffic.
         submit(5);
@@ -1319,9 +1248,9 @@ mod tests {
         let addrs = reserve_addrs(&cluster);
         let replica = cluster.groups()[0].members()[0];
         let client_id = cluster.clients()[0];
-        let node = spawn_replica(&cluster, &addrs, replica, false, WireCodec::Binary);
+        let node = spawn_replica(&cluster, &addrs, replica, false);
 
-        let mut bytes = encode_preamble(WireCodec::Binary).to_vec();
+        let mut bytes = PREAMBLE.to_vec();
         bytes.extend_from_slice(
             &encode_frame_with(
                 WireCodec::Binary,
@@ -1360,6 +1289,30 @@ mod tests {
         node.shutdown();
     }
 
+    /// The first bytes of every connection match the worked example in
+    /// `WIRE.md` §6 byte for byte: the preamble, then the `Hello` frame of
+    /// process 3.
+    #[test]
+    fn hello_bytes_match_the_wire_spec_worked_example() {
+        let hello = encode_frame_with(
+            WireCodec::Binary,
+            &WireFrame::<WhiteBoxMsg>::Hello { from: ProcessId(3) },
+        )
+        .expect("encode Hello");
+        assert_eq!(PREAMBLE, [0x57, 0x42, 0x01, 0x02]);
+        assert_eq!(
+            &hello[..],
+            &[
+                0x00, 0x00, 0x00, 0x12, // length 18
+                0x08, 0x01, // Map, 1 entry
+                0x00, 0x05, b'H', b'e', b'l', b'l', b'o', // new key "Hello"
+                0x08, 0x01, // Map, 1 entry
+                0x00, 0x04, b'f', b'r', b'o', b'm', // new key "from"
+                0x83, // U64(3), inline
+            ][..]
+        );
+    }
+
     /// Regression for shutdown racing an in-flight reconnect: a node whose
     /// peers are unreachable sits in the dial-backoff cycle (queued bytes,
     /// climbing `next_dial`), and `shutdown()` landing in that state must
@@ -1371,13 +1324,7 @@ mod tests {
         // Reserved-then-released ports: every dial is refused instantly, so
         // the two dead peers drive their backoff toward BACKOFF_MAX.
         let addrs = reserve_addrs(&cluster);
-        let node = spawn_replica(
-            &cluster,
-            &addrs,
-            cluster.groups()[0].members()[0],
-            false,
-            WireCodec::Binary,
-        );
+        let node = spawn_replica(&cluster, &addrs, cluster.groups()[0].members()[0], false);
         // Leader recovery queues NEW_STATE traffic for both (dead) group
         // members, arming the dial/backoff cycle with real queued bytes.
         node.become_leader().unwrap();

@@ -410,11 +410,6 @@ impl<M: Clone + 'static> Simulation<M> {
         self.nodes.get(&p).map(|slot| &*slot.node)
     }
 
-    /// Whether any events remain to be processed.
-    pub fn has_pending_events(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
     /// Processes the next pending event, if any, and returns what happened.
     pub fn step(&mut self) -> Option<StepOutcome> {
         let ev = self.queue.pop()?;
@@ -515,11 +510,6 @@ impl<M: Clone + 'static> Simulation<M> {
             processed += 1;
         }
         processed
-    }
-
-    /// Runs until simulated time reaches `until` (events after it stay queued).
-    pub fn run_until(&mut self, until: Duration) -> usize {
-        self.run_until_quiescent(until)
     }
 
     /// Dispatches an event to a node, applying the CPU model, and executes the

@@ -2,23 +2,18 @@
 //!
 //! The sans-IO protocols exchange strongly typed messages; when they are run
 //! over a byte-oriented transport (the loopback TCP transport of
-//! `wbam-runtime`, or a file-based trace), messages are framed as
-//! `u32 big-endian length || body`, where the body is produced by a
-//! [`WireCodec`]:
+//! `wbam-runtime`), messages are framed as `u32 big-endian length || body`,
+//! where the body is the compact `serde_binary` encoding of the message:
+//! varint integers, interned map keys, packed byte payloads. `WIRE.md` at the
+//! repo root specifies it byte for byte.
 //!
-//! * [`WireCodec::Binary`] (the default) — the compact `serde_binary` format:
-//!   varint integers, interned map keys, packed byte payloads. This is the
-//!   deployed runtime's codec; `WIRE.md` at the repo root specifies it
-//!   byte-for-byte.
-//! * [`WireCodec::Json`] — self-describing `serde_json` bodies, kept for
-//!   debuggable traces and as a compatibility flag (`wbamd --wire json`).
-//!
-//! Connections additionally start with a fixed 4-byte preamble
-//! (`"WB" || version || codec`) so that a mixed-codec or mixed-version
-//! cluster fails fast with a clear error instead of surfacing as garbled
-//! frame decodes. See [`encode_preamble`] / [`check_preamble`].
+//! Connections additionally start with the fixed 4-byte [`PREAMBLE`]
+//! (`"WB" || version || codec byte`) so that a mixed-version cluster, or a
+//! peer still speaking the retired JSON frame bodies, fails fast with a clear
+//! error instead of surfacing as garbled frame decodes. See
+//! [`check_preamble`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -37,78 +32,38 @@ pub const WIRE_VERSION: u8 = 1;
 /// Length of the connection preamble in bytes.
 pub const PREAMBLE_LEN: usize = 4;
 
-/// The serialisation format used for frame bodies.
+/// Codec byte of the binary frame bodies, the only ones this build speaks.
+const BINARY_CODEC_BYTE: u8 = 2;
+
+/// Codec byte of the retired JSON frame bodies; rejected at connect.
+const RETIRED_JSON_CODEC_BYTE: u8 = 1;
+
+/// The 4-byte preamble a connecting peer sends before its first frame:
+/// `WIRE_MAGIC || WIRE_VERSION || codec byte` (`57 42 01 02`).
+pub const PREAMBLE: [u8; PREAMBLE_LEN] = [
+    WIRE_MAGIC[0],
+    WIRE_MAGIC[1],
+    WIRE_VERSION,
+    BINARY_CODEC_BYTE,
+];
+
+/// The serialisation format of frame bodies. Binary is the only one; the
+/// type remains so that callers name the format they encode with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireCodec {
-    /// Compact binary bodies (`serde_binary`); the deployed default.
+    /// Compact binary bodies (`serde_binary`).
     #[default]
     Binary,
-    /// Self-describing JSON bodies (`serde_json`); the compatibility codec.
-    Json,
 }
 
-impl WireCodec {
-    /// The codec byte carried in the connection preamble.
-    pub const fn wire_byte(self) -> u8 {
-        match self {
-            WireCodec::Json => 1,
-            WireCodec::Binary => 2,
-        }
-    }
-
-    /// Inverse of [`Self::wire_byte`].
-    pub fn from_wire_byte(byte: u8) -> Option<Self> {
-        match byte {
-            1 => Some(WireCodec::Json),
-            2 => Some(WireCodec::Binary),
-            _ => None,
-        }
-    }
-
-    /// The codec's name as used by `--wire` flags and bench records.
-    pub const fn name(self) -> &'static str {
-        match self {
-            WireCodec::Json => "json",
-            WireCodec::Binary => "binary",
-        }
-    }
-
-    /// Parses a `--wire` flag value.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "json" => Some(WireCodec::Json),
-            "binary" => Some(WireCodec::Binary),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for WireCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Builds the 4-byte preamble a connecting peer must send before its first
-/// frame: `WIRE_MAGIC || WIRE_VERSION || codec byte`.
-pub const fn encode_preamble(codec: WireCodec) -> [u8; PREAMBLE_LEN] {
-    [
-        WIRE_MAGIC[0],
-        WIRE_MAGIC[1],
-        WIRE_VERSION,
-        codec.wire_byte(),
-    ]
-}
-
-/// Validates a received connection preamble against the local codec.
+/// Validates a received connection preamble against [`PREAMBLE`].
 ///
 /// # Errors
 ///
 /// Returns [`WbamError::Codec`] with a message naming the exact mismatch —
-/// wrong magic (not a WBAM peer), unsupported version, unknown codec byte, or
-/// a codec disagreeing with `expected` (e.g. a `--wire json` process dialling
-/// a `--wire binary` cluster).
-pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN], expected: WireCodec) -> Result<(), WbamError> {
+/// wrong magic (not a WBAM peer), unsupported version, the retired JSON
+/// codec byte, or an unknown codec byte.
+pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN]) -> Result<(), WbamError> {
     if bytes[..2] != WIRE_MAGIC {
         return Err(WbamError::Codec(format!(
             "connection preamble has bad magic {:02x}{:02x} (expected \"WB\"): not a WBAM peer",
@@ -121,19 +76,20 @@ pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN], expected: WireCodec) -> Result
             bytes[2]
         )));
     }
-    match WireCodec::from_wire_byte(bytes[3]) {
-        None => Err(WbamError::Codec(format!(
-            "peer sent unknown wire codec byte {}",
-            bytes[3]
+    match bytes[3] {
+        BINARY_CODEC_BYTE => Ok(()),
+        RETIRED_JSON_CODEC_BYTE => Err(WbamError::Codec(
+            "peer uses the retired JSON wire codec (codec byte 1); \
+             this process speaks only binary frames (codec byte 2)"
+                .to_string(),
+        )),
+        byte => Err(WbamError::Codec(format!(
+            "peer sent unknown wire codec byte {byte}"
         ))),
-        Some(codec) if codec != expected => Err(WbamError::Codec(format!(
-            "wire codec mismatch: peer uses --wire {codec} but this process uses --wire {expected}"
-        ))),
-        Some(_) => Ok(()),
     }
 }
 
-/// Encodes a message as a length-prefixed frame using `codec` for the body.
+/// Encodes a message as a length-prefixed binary frame.
 ///
 /// # Errors
 ///
@@ -144,12 +100,8 @@ pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN], expected: WireCodec) -> Result
 /// corrupt length prefix the peer cannot resync from, and any frame longer
 /// than [`MAX_FRAME_LEN`] would be rejected by the receiving decode anyway.
 pub fn encode_frame_with<M: Serialize>(codec: WireCodec, msg: &M) -> Result<Bytes, WbamError> {
-    let body = match codec {
-        WireCodec::Json => serde_json::to_vec(msg).map_err(|e| WbamError::Codec(e.to_string()))?,
-        WireCodec::Binary => {
-            serde_binary::to_vec(msg).map_err(|e| WbamError::Codec(e.to_string()))?
-        }
-    };
+    let WireCodec::Binary = codec;
+    let body = serde_binary::to_vec(msg).map_err(|e| WbamError::Codec(e.to_string()))?;
     if body.len() > MAX_FRAME_LEN {
         return Err(WbamError::Codec(format!(
             "frame body of {} bytes exceeds maximum {MAX_FRAME_LEN}",
@@ -162,12 +114,13 @@ pub fn encode_frame_with<M: Serialize>(codec: WireCodec, msg: &M) -> Result<Byte
     Ok(buf.freeze())
 }
 
-/// Attempts to decode one frame from the front of the byte slice `input`.
+/// Attempts to decode one binary frame from the front of the byte slice
+/// `input`.
 ///
 /// Returns the decoded message and the number of bytes consumed, or
-/// `Ok(None)` when `input` does not yet contain a full frame. Unlike
-/// [`decode_frame_with`] this never shifts buffer contents, so a reader can
-/// decode a whole burst of frames with a cursor and compact its buffer once.
+/// `Ok(None)` when `input` does not yet contain a full frame. It never
+/// shifts buffer contents, so a reader can decode a whole burst of frames
+/// with a cursor and compact its buffer once.
 ///
 /// # Errors
 ///
@@ -177,6 +130,7 @@ pub fn decode_frame_slice<M: DeserializeOwned>(
     codec: WireCodec,
     input: &[u8],
 ) -> Result<Option<(M, usize)>, WbamError> {
+    let WireCodec::Binary = codec;
     if input.len() < 4 {
         return Ok(None);
     }
@@ -189,62 +143,9 @@ pub fn decode_frame_slice<M: DeserializeOwned>(
     if input.len() < 4 + len {
         return Ok(None);
     }
-    let body = &input[4..4 + len];
-    let msg = match codec {
-        WireCodec::Json => {
-            serde_json::from_slice(body).map_err(|e| WbamError::Codec(e.to_string()))?
-        }
-        WireCodec::Binary => {
-            serde_binary::from_slice(body).map_err(|e| WbamError::Codec(e.to_string()))?
-        }
-    };
+    let msg = serde_binary::from_slice(&input[4..4 + len])
+        .map_err(|e| WbamError::Codec(e.to_string()))?;
     Ok(Some((msg, 4 + len)))
-}
-
-/// Attempts to decode one frame from the front of `buf`.
-///
-/// On success the consumed bytes are removed from `buf` and the decoded message
-/// is returned. Returns `Ok(None)` when the buffer does not yet contain a full
-/// frame (more bytes must be read from the transport).
-///
-/// # Errors
-///
-/// Returns [`WbamError::Codec`] when the length prefix exceeds
-/// [`MAX_FRAME_LEN`] or the body fails to deserialise.
-pub fn decode_frame_with<M: DeserializeOwned>(
-    codec: WireCodec,
-    buf: &mut BytesMut,
-) -> Result<Option<M>, WbamError> {
-    match decode_frame_slice(codec, &buf[..])? {
-        Some((msg, consumed)) => {
-            buf.advance(consumed);
-            Ok(Some(msg))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Encodes a message as a length-prefixed JSON frame.
-///
-/// Shorthand for [`encode_frame_with`] with [`WireCodec::Json`], kept for
-/// traces and tooling that want self-describing bodies.
-///
-/// # Errors
-///
-/// Same conditions as [`encode_frame_with`].
-pub fn encode_frame<M: Serialize>(msg: &M) -> Result<Bytes, WbamError> {
-    encode_frame_with(WireCodec::Json, msg)
-}
-
-/// Attempts to decode one JSON frame from the front of `buf`.
-///
-/// Shorthand for [`decode_frame_with`] with [`WireCodec::Json`].
-///
-/// # Errors
-///
-/// Same conditions as [`decode_frame_with`].
-pub fn decode_frame<M: DeserializeOwned>(buf: &mut BytesMut) -> Result<Option<M>, WbamError> {
-    decode_frame_with(WireCodec::Json, buf)
 }
 
 /// Encodes a message directly to a JSON string (used for traces and tooling).
@@ -276,214 +177,120 @@ mod tests {
         note: String,
     }
 
-    const BOTH: [WireCodec; 2] = [WireCodec::Json, WireCodec::Binary];
-
-    #[test]
-    fn frame_round_trip() {
-        for codec in BOTH {
-            let msg = Ping {
-                seq: 7,
-                note: "hello".to_string(),
-            };
-            let frame = encode_frame_with(codec, &msg).unwrap();
-            let mut buf = BytesMut::from(&frame[..]);
-            let back: Ping = decode_frame_with(codec, &mut buf).unwrap().unwrap();
-            assert_eq!(back, msg);
-            assert!(buf.is_empty());
+    fn ping(seq: u64, note: &str) -> Ping {
+        Ping {
+            seq,
+            note: note.to_string(),
         }
     }
 
+    fn encode(msg: &Ping) -> Bytes {
+        encode_frame_with(WireCodec::Binary, msg).unwrap()
+    }
+
+    fn decode(input: &[u8]) -> Result<Option<(Ping, usize)>, WbamError> {
+        decode_frame_slice(WireCodec::Binary, input)
+    }
+
     #[test]
-    fn binary_frames_are_smaller() {
-        let msg = Ping {
-            seq: 123_456,
-            note: "hello".to_string(),
-        };
-        let json = encode_frame_with(WireCodec::Json, &msg).unwrap();
-        let binary = encode_frame_with(WireCodec::Binary, &msg).unwrap();
-        assert!(
-            binary.len() < json.len(),
-            "binary {} >= json {}",
-            binary.len(),
-            json.len()
-        );
+    fn frame_round_trip() {
+        let msg = ping(7, "hello");
+        let frame = encode(&msg);
+        assert_eq!(decode(&frame).unwrap(), Some((msg, frame.len())));
     }
 
     #[test]
     fn partial_frames_request_more_data() {
-        for codec in BOTH {
-            let msg = Ping {
-                seq: 1,
-                note: "x".to_string(),
-            };
-            let frame = encode_frame_with(codec, &msg).unwrap();
-            let mut buf = BytesMut::from(&frame[..3]);
-            assert_eq!(decode_frame_with::<Ping>(codec, &mut buf).unwrap(), None);
-            let mut buf = BytesMut::from(&frame[..frame.len() - 1]);
-            assert_eq!(decode_frame_with::<Ping>(codec, &mut buf).unwrap(), None);
-        }
+        let frame = encode(&ping(1, "x"));
+        assert_eq!(decode(&frame[..3]).unwrap(), None);
+        assert_eq!(decode(&frame[..frame.len() - 1]).unwrap(), None);
     }
 
     #[test]
     fn multiple_frames_in_one_buffer() {
-        for codec in BOTH {
-            let a = Ping {
-                seq: 1,
-                note: "a".to_string(),
-            };
-            let b = Ping {
-                seq: 2,
-                note: "b".to_string(),
-            };
-            let mut buf = BytesMut::new();
-            buf.extend_from_slice(&encode_frame_with(codec, &a).unwrap());
-            buf.extend_from_slice(&encode_frame_with(codec, &b).unwrap());
-            assert_eq!(
-                decode_frame_with::<Ping>(codec, &mut buf).unwrap().unwrap(),
-                a
-            );
-            assert_eq!(
-                decode_frame_with::<Ping>(codec, &mut buf).unwrap().unwrap(),
-                b
-            );
-            assert_eq!(decode_frame_with::<Ping>(codec, &mut buf).unwrap(), None);
-        }
+        let (a, b) = (ping(1, "a"), ping(2, "b"));
+        let mut stream = encode(&a).to_vec();
+        stream.extend_from_slice(&encode(&b));
+        let (first, used) = decode(&stream).unwrap().unwrap();
+        assert_eq!(first, a);
+        let (second, rest) = decode(&stream[used..]).unwrap().unwrap();
+        assert_eq!(second, b);
+        assert_eq!(decode(&stream[used + rest..]).unwrap(), None);
     }
 
     #[test]
     fn slice_decode_reports_consumed_bytes() {
-        let a = Ping {
-            seq: 1,
-            note: "a".to_string(),
-        };
-        let b = Ping {
-            seq: 2,
-            note: "bb".to_string(),
-        };
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_frame_with(WireCodec::Binary, &a).unwrap());
-        stream.extend_from_slice(&encode_frame_with(WireCodec::Binary, &b).unwrap());
-        let (first, consumed): (Ping, usize) = decode_frame_slice(WireCodec::Binary, &stream)
-            .unwrap()
-            .unwrap();
+        let (a, b) = (ping(1, "a"), ping(2, "bb"));
+        let mut stream = encode(&a).to_vec();
+        stream.extend_from_slice(&encode(&b));
+        let (first, consumed) = decode(&stream).unwrap().unwrap();
         assert_eq!(first, a);
-        let (second, rest): (Ping, usize) =
-            decode_frame_slice(WireCodec::Binary, &stream[consumed..])
-                .unwrap()
-                .unwrap();
+        let (second, rest) = decode(&stream[consumed..]).unwrap().unwrap();
         assert_eq!(second, b);
         assert_eq!(consumed + rest, stream.len());
     }
 
     /// A frame body one byte over the limit is rejected on the encode side
     /// (instead of truncating its length prefix), while a body at exactly the
-    /// limit round-trips. Every added `x` in `note` grows the JSON body by
-    /// exactly one byte, so the body length can be dialled in precisely.
+    /// limit round-trips. Every string length near the limit takes a 4-byte
+    /// varint, so each added `x` in `note` grows the body by exactly one byte
+    /// and the body length can be dialled in precisely.
     #[test]
     fn encode_rejects_bodies_over_the_frame_limit() {
-        let overhead = serde_json::to_vec(&Ping {
-            seq: 7,
-            note: String::new(),
-        })
-        .unwrap()
-        .len();
+        let probe = 1 << 22;
+        let overhead = serde_binary::to_vec(&ping(7, &"x".repeat(probe)))
+            .unwrap()
+            .len()
+            - probe;
 
-        let over = Ping {
-            seq: 7,
-            note: "x".repeat(MAX_FRAME_LEN - overhead + 1),
-        };
-        let err = encode_frame(&over).unwrap_err();
+        let over = ping(7, &"x".repeat(MAX_FRAME_LEN - overhead + 1));
+        let err = encode_frame_with(WireCodec::Binary, &over).unwrap_err();
         assert!(matches!(err, WbamError::Codec(_)), "got {err:?}");
         assert!(err.to_string().contains("exceeds maximum"));
 
-        let at_limit = Ping {
-            seq: 7,
-            note: "x".repeat(MAX_FRAME_LEN - overhead),
-        };
-        let frame = encode_frame(&at_limit).unwrap();
+        let at_limit = ping(7, &"x".repeat(MAX_FRAME_LEN - overhead));
+        let frame = encode(&at_limit);
         assert_eq!(frame.len(), 4 + MAX_FRAME_LEN);
-        let mut buf = BytesMut::from(&frame[..]);
-        let back: Ping = decode_frame(&mut buf).unwrap().unwrap();
-        assert_eq!(back, at_limit);
+        assert_eq!(decode(&frame).unwrap(), Some((at_limit, frame.len())));
     }
 
     #[test]
     fn oversized_length_prefix_is_rejected() {
-        for codec in BOTH {
-            let mut buf = BytesMut::new();
-            buf.put_u32(u32::MAX);
-            buf.put_slice(&[0u8; 16]);
-            assert!(decode_frame_with::<Ping>(codec, &mut buf).is_err());
-        }
+        let mut buf = BytesMut::new();
+        buf.put_u32(u32::MAX);
+        buf.put_slice(&[0u8; 16]);
+        assert!(decode(&buf).is_err());
     }
 
     #[test]
     fn corrupt_body_is_rejected() {
-        for codec in BOTH {
-            let mut buf = BytesMut::new();
-            buf.put_u32(3);
-            buf.put_slice(b"not");
-            assert!(decode_frame_with::<Ping>(codec, &mut buf).is_err());
-        }
-    }
-
-    #[test]
-    fn cross_codec_decode_fails() {
-        // A JSON frame fed to the binary decoder (and vice versa) must error,
-        // not silently decode: this is what the preamble handshake prevents.
-        let msg = Ping {
-            seq: 9,
-            note: "mismatch".to_string(),
-        };
-        let json = encode_frame_with(WireCodec::Json, &msg).unwrap();
-        let mut buf = BytesMut::from(&json[..]);
-        assert!(decode_frame_with::<Ping>(WireCodec::Binary, &mut buf).is_err());
-        let binary = encode_frame_with(WireCodec::Binary, &msg).unwrap();
-        let mut buf = BytesMut::from(&binary[..]);
-        assert!(decode_frame_with::<Ping>(WireCodec::Json, &mut buf).is_err());
+        let mut buf = BytesMut::new();
+        buf.put_u32(3);
+        buf.put_slice(b"not");
+        assert!(decode(&buf).is_err());
     }
 
     #[test]
     fn preamble_round_trip_and_mismatches() {
-        for codec in BOTH {
-            let p = encode_preamble(codec);
-            assert_eq!(p.len(), PREAMBLE_LEN);
-            check_preamble(&p, codec).unwrap();
-        }
-        // Codec mismatch names both sides.
-        let err = check_preamble(&encode_preamble(WireCodec::Json), WireCodec::Binary).unwrap_err();
-        let text = err.to_string();
-        assert!(
-            text.contains("--wire json") && text.contains("--wire binary"),
-            "{text}"
-        );
+        assert_eq!(PREAMBLE, [0x57, 0x42, 0x01, 0x02]);
+        check_preamble(&PREAMBLE).unwrap();
+        // A peer still sending JSON frame bodies is told so by name.
+        let err = check_preamble(&[b'W', b'B', 1, 1]).unwrap_err();
+        assert!(err.to_string().contains("retired JSON wire codec"), "{err}");
         // Bad magic (e.g. an HTTP client) is called out as a non-WBAM peer.
-        let err = check_preamble(b"GET ", WireCodec::Binary).unwrap_err();
+        let err = check_preamble(b"GET ").unwrap_err();
         assert!(err.to_string().contains("not a WBAM peer"));
         // Future version byte.
-        let err = check_preamble(&[b'W', b'B', 9, 2], WireCodec::Binary).unwrap_err();
+        let err = check_preamble(&[b'W', b'B', 9, 2]).unwrap_err();
         assert!(err.to_string().contains("wire version 9"));
         // Unknown codec byte.
-        let err = check_preamble(&[b'W', b'B', WIRE_VERSION, 7], WireCodec::Binary).unwrap_err();
+        let err = check_preamble(&[b'W', b'B', WIRE_VERSION, 7]).unwrap_err();
         assert!(err.to_string().contains("codec byte 7"));
     }
 
     #[test]
-    fn codec_names_round_trip() {
-        for codec in BOTH {
-            assert_eq!(WireCodec::from_name(codec.name()), Some(codec));
-            assert_eq!(WireCodec::from_wire_byte(codec.wire_byte()), Some(codec));
-        }
-        assert_eq!(WireCodec::from_name("msgpack"), None);
-        assert_eq!(WireCodec::default(), WireCodec::Binary);
-    }
-
-    #[test]
     fn json_helpers_round_trip() {
-        let msg = Ping {
-            seq: 9,
-            note: "trace".to_string(),
-        };
+        let msg = ping(9, "trace");
         let json = to_json(&msg).unwrap();
         let back: Ping = from_json(&json).unwrap();
         assert_eq!(back, msg);

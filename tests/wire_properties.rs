@@ -2,16 +2,14 @@
 //! protocol message type the TCP runtime carries: each `WhiteBoxMsg`,
 //! `BaselineMsg` and `PaxosMsg` variant — including `ACCEPT_BATCH`,
 //! checkpoint-bearing `NEW_STATE` and `STATE_TRANSFER` — must survive
-//! framing byte-for-byte under **both wire codecs** (compact binary, the
-//! deployed default, and JSON, the `--wire json` compatibility codec), both
-//! as a single frame and as concatenated frames fed to the decoder at
-//! randomized split points (the way a TCP reader actually sees them). The
-//! preamble handshake that keeps mixed-codec clusters from ever exchanging
-//! frames is regression-tested at the bottom.
+//! binary framing byte-for-byte, both as a single frame and as concatenated
+//! frames fed to the decoder at randomized split points (the way a TCP
+//! reader actually sees them). The preamble handshake that keeps peers
+//! still speaking the retired JSON codec from ever exchanging frames is
+//! regression-tested at the bottom.
 
 use std::collections::BTreeMap;
 
-use bytes::BytesMut;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,7 +19,7 @@ use wbam_baselines::{BaselineMsg, Command};
 use wbam_consensus::{PaxosMsg, Slot};
 use wbam_core::{AcceptEntry, DeliverEntry, RecordSnapshot, StateSnapshot, WhiteBoxMsg};
 use wbam_types::wire::{
-    check_preamble, decode_frame_with, encode_frame_with, encode_preamble, WireCodec,
+    check_preamble, decode_frame_slice, encode_frame_with, WireCodec, PREAMBLE,
 };
 use wbam_types::{
     AppMessage, Ballot, Checkpoint, DeliveredFilter, Destination, GroupId, MsgId, Payload, Phase,
@@ -338,24 +336,16 @@ const BASELINE_VARIANTS: usize = 10;
 
 // --- helpers ---------------------------------------------------------------
 
-/// Both codecs the deployment runtime can speak; every round-trip property
-/// below holds for each.
-const CODECS: [WireCodec; 2] = [WireCodec::Binary, WireCodec::Json];
-
 fn round_trip_one<M>(msg: &M)
 where
     M: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug,
 {
-    for codec in CODECS {
-        let frame = encode_frame_with(codec, msg).expect("encode");
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(&frame);
-        let back: M = decode_frame_with(codec, &mut buf)
-            .unwrap_or_else(|e| panic!("{codec} decode: {e}"))
-            .expect("full frame");
-        assert_eq!(&back, msg);
-        assert!(buf.is_empty(), "decoder left {} bytes behind", buf.len());
-    }
+    let frame = encode_frame_with(WireCodec::Binary, msg).expect("encode");
+    let (back, used): (M, usize) = decode_frame_slice(WireCodec::Binary, &frame)
+        .unwrap_or_else(|e| panic!("decode: {e}"))
+        .expect("full frame");
+    assert_eq!(&back, msg);
+    assert_eq!(used, frame.len(), "decoder left bytes behind");
 }
 
 /// Concatenates the frames of `msgs` into one byte stream, feeds the stream
@@ -367,31 +357,34 @@ fn round_trip_stream<M>(msgs: &[M], rng: &mut StdRng)
 where
     M: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug,
 {
-    for codec in CODECS {
-        let mut stream = Vec::new();
-        for m in msgs {
-            stream.extend_from_slice(&encode_frame_with(codec, m).expect("encode"));
-        }
-        let mut buf = BytesMut::new();
-        let mut decoded: Vec<M> = Vec::new();
-        let mut offset = 0;
-        while offset < stream.len() {
-            let chunk = rng.gen_range(1..=64.min(stream.len() - offset).max(1));
-            let chunk = chunk.min(stream.len() - offset);
-            buf.extend_from_slice(&stream[offset..offset + chunk]);
-            offset += chunk;
-            while let Some(msg) =
-                decode_frame_with::<M>(codec, &mut buf).unwrap_or_else(|e| panic!("{codec}: {e}"))
-            {
-                decoded.push(msg);
-            }
-        }
-        assert_eq!(decoded.len(), msgs.len());
-        for (got, want) in decoded.iter().zip(msgs) {
-            assert_eq!(got, want);
-        }
-        assert!(buf.is_empty());
+    let mut stream = Vec::new();
+    for m in msgs {
+        stream.extend_from_slice(&encode_frame_with(WireCodec::Binary, m).expect("encode"));
     }
+    let mut buf = Vec::new();
+    let mut decoded: Vec<M> = Vec::new();
+    let mut offset = 0;
+    while offset < stream.len() {
+        let chunk = rng.gen_range(1..=64.min(stream.len() - offset).max(1));
+        let chunk = chunk.min(stream.len() - offset);
+        buf.extend_from_slice(&stream[offset..offset + chunk]);
+        offset += chunk;
+        // Decode every complete frame with a cursor, then compact once —
+        // the read path of the TCP poller.
+        let mut pos = 0;
+        while let Some((msg, used)) = decode_frame_slice::<M>(WireCodec::Binary, &buf[pos..])
+            .unwrap_or_else(|e| panic!("decode: {e}"))
+        {
+            decoded.push(msg);
+            pos += used;
+        }
+        buf.drain(..pos);
+    }
+    assert_eq!(decoded.len(), msgs.len());
+    for (got, want) in decoded.iter().zip(msgs) {
+        assert_eq!(got, want);
+    }
+    assert!(buf.is_empty());
 }
 
 // --- properties ------------------------------------------------------------
@@ -487,48 +480,34 @@ fn generators_cover_every_whitebox_kind() {
     }
 }
 
-/// Regression: a JSON peer and a binary peer must fail the *handshake*, not
-/// limp along exchanging frames. The 4-byte preamble disagrees in exactly the
-/// codec byte, `check_preamble` names both codecs in its error, and — the
-/// belt-and-braces layer behind the preamble — a frame encoded with one codec
-/// never decodes as a frame of the other.
+/// Regression: a peer still speaking the retired JSON codec must fail the
+/// *handshake*, not limp along exchanging frames. Its preamble differs from
+/// ours in exactly the codec byte (1 instead of 2), and `check_preamble`
+/// names the retired codec in its error. Bad magic, a future wire version
+/// and an unknown codec byte are each rejected with their own error.
 #[test]
 fn json_and_binary_handshakes_reject_each_other() {
-    let json = encode_preamble(WireCodec::Json);
-    let binary = encode_preamble(WireCodec::Binary);
-    assert_ne!(json, binary, "preambles must differ in the codec byte");
-    assert_eq!(json[..3], binary[..3], "magic and version must agree");
+    assert_eq!(
+        PREAMBLE,
+        [0x57, 0x42, 0x01, 0x02],
+        "the binary preamble is fixed"
+    );
+    check_preamble(&PREAMBLE).expect("binary peers agree");
 
-    // Same-codec handshakes succeed, cross-codec ones fail with an error
-    // naming both sides' codecs (the operator's hint to fix `--wire`).
-    check_preamble(&json, WireCodec::Json).expect("json peers agree");
-    check_preamble(&binary, WireCodec::Binary).expect("binary peers agree");
-    for (theirs, ours) in [(json, WireCodec::Binary), (binary, WireCodec::Json)] {
-        let err = check_preamble(&theirs, ours).expect_err("mixed codecs must be rejected");
-        let text = err.to_string();
-        assert!(
-            text.contains("binary") && text.contains("json"),
-            "error must name both codecs: {text}"
-        );
-    }
+    let json = [b'W', b'B', 1, 1];
+    let err = check_preamble(&json).expect_err("the JSON codec is retired");
+    let text = err.to_string();
+    assert!(
+        text.contains("retired JSON wire codec"),
+        "error must name the retired codec: {text}"
+    );
 
-    // Frames of one codec are garbage to the other even if the preamble
-    // check were bypassed: decoding fails instead of yielding a bogus value.
-    let mut rng = StdRng::seed_from_u64(42);
-    for variant in 0..WHITEBOX_VARIANTS {
-        let msg = arb_whitebox(&mut rng, variant);
-        for (enc, dec) in [
-            (WireCodec::Binary, WireCodec::Json),
-            (WireCodec::Json, WireCodec::Binary),
-        ] {
-            let frame = encode_frame_with(enc, &msg).expect("encode");
-            let mut buf = BytesMut::new();
-            buf.extend_from_slice(&frame);
-            let result = decode_frame_with::<WhiteBoxMsg>(dec, &mut buf);
-            assert!(
-                !matches!(&result, Ok(Some(m)) if m == &msg),
-                "{enc} frame of variant {variant} decoded identically under {dec}"
-            );
-        }
+    for (preamble, expected) in [
+        (*b"GET ", "not a WBAM peer"),
+        ([b'W', b'B', 9, 2], "wire version 9"),
+        ([b'W', b'B', 1, 7], "codec byte 7"),
+    ] {
+        let err = check_preamble(&preamble).expect_err("bad preamble accepted");
+        assert!(err.to_string().contains(expected), "{preamble:?}: {err}");
     }
 }
